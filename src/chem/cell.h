@@ -1,6 +1,10 @@
 // A complete battery cell: Thevenin electrical model + aging + thermal,
 // driven by terminal-level charge/discharge requests. This is the unit the
 // SDB hardware multiplexes and the unit the runtime's policies reason about.
+//
+// Not safe for concurrent readers: the const curve accessors
+// (OpenCircuitVoltage, InternalResistance, NoLoadVoltage, ...) fill a
+// mutable per-cell memo (see TheveninModel). Give each thread its own cells.
 #ifndef SRC_CHEM_CELL_H_
 #define SRC_CHEM_CELL_H_
 

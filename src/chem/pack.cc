@@ -19,11 +19,6 @@ void BatteryPack::SetOpenCircuit(size_t i, bool open) {
   open_circuit_[i] = open;
 }
 
-bool BatteryPack::IsOpenCircuit(size_t i) const {
-  SDB_CHECK(i < open_circuit_.size());
-  return open_circuit_[i];
-}
-
 bool BatteryPack::AnyOpenCircuit() const {
   for (bool open : open_circuit_) {
     if (open) {
@@ -31,16 +26,6 @@ bool BatteryPack::AnyOpenCircuit() const {
     }
   }
   return false;
-}
-
-Cell& BatteryPack::cell(size_t i) {
-  SDB_CHECK(i < cells_.size());
-  return cells_[i];
-}
-
-const Cell& BatteryPack::cell(size_t i) const {
-  SDB_CHECK(i < cells_.size());
-  return cells_[i];
 }
 
 Charge BatteryPack::TotalRemainingCharge() const {

@@ -12,6 +12,7 @@
 
 #include "src/chem/cell.h"
 #include "src/chem/soa_kernel.h"
+#include "src/util/check.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -36,8 +37,15 @@ class BatteryPack {
 
   size_t size() const { return cells_.size(); }
   bool empty() const { return cells_.empty(); }
-  Cell& cell(size_t i);
-  const Cell& cell(size_t i) const;
+  // Inline: the circuits call these per battery per tick.
+  Cell& cell(size_t i) {
+    SDB_CHECK(i < cells_.size());
+    return cells_[i];
+  }
+  const Cell& cell(size_t i) const {
+    SDB_CHECK(i < cells_.size());
+    return cells_[i];
+  }
 
   // Aggregate observers.
   Charge TotalRemainingCharge() const;
@@ -51,7 +59,10 @@ class BatteryPack {
   // clears. The hw layer drives these from its FaultInjector; chem stays
   // free of hw dependencies by holding plain flags.
   void SetOpenCircuit(size_t i, bool open);
-  bool IsOpenCircuit(size_t i) const;
+  bool IsOpenCircuit(size_t i) const {
+    SDB_CHECK(i < open_circuit_.size());
+    return open_circuit_[i];
+  }
   bool AnyOpenCircuit() const;
 
   // --- SDB batched stepping --------------------------------------------------

@@ -20,22 +20,14 @@ void TheveninModel::set_resistance_scale(double scale) {
   state_.resistance_scale = scale;
 }
 
-Voltage TheveninModel::OpenCircuitVoltage() const {
-  return Volts(params_->ocv_vs_soc.Evaluate(state_.soc));
-}
-
-Resistance TheveninModel::InternalResistance() const {
-  return Ohms(state_.resistance_scale * params_->dcir_vs_soc.Evaluate(state_.soc));
+void TheveninModel::EvaluateCurveMemo() const {
+  memo_soc_ = state_.soc;
+  memo_ocv_ = Volts(params_->ocv_vs_soc.EvaluateHinted(state_.soc, &memo_ocv_hint_));
+  memo_dcir_ = Ohms(params_->dcir_vs_soc.EvaluateHinted(state_.soc, &memo_dcir_hint_));
 }
 
 double TheveninModel::DcirSlope() const {
   return state_.resistance_scale * params_->dcir_vs_soc.Derivative(state_.soc);
-}
-
-Voltage TheveninModel::TerminalVoltageAt(Current current) const {
-  double v = OpenCircuitVoltage().value() - current.value() * InternalResistance().value() -
-             state_.v_rc_v;
-  return Volts(v);
 }
 
 Power TheveninModel::MaxDischargePower() const {

@@ -12,6 +12,9 @@
 #ifndef SRC_CHEM_THEVENIN_H_
 #define SRC_CHEM_THEVENIN_H_
 
+#include <cstdint>
+#include <limits>
+
 #include "src/chem/battery_params.h"
 #include "src/chem/soa_kernel.h"
 #include "src/util/status.h"
@@ -48,6 +51,13 @@ inline StepResult ToStepResult(const soa::RawStepResult& raw) {
 // solver serves both fresh and degraded cells. The step methods are a
 // single-lane facade over the soa kernel primitives (soa_kernel.h), so this
 // class and CellLanes::AdvanceBatch produce bit-identical state.
+//
+// The curve accessors (OpenCircuitVoltage, InternalResistance and everything
+// built on them) share a private memo of the OCV and fresh-DCIR curve values
+// keyed on the exact SoC they were evaluated at (DESIGN.md §12, "Tick hot
+// path"). The memo is derived, not state: it is never exported, encoded or
+// compared, and any write to the SoC invalidates it. Because const accessors
+// fill it, one model (and so one Cell) is not safe for concurrent readers.
 class TheveninModel {
  public:
   // `params` must outlive the model and be valid (see BatteryParams::Validate).
@@ -65,14 +75,26 @@ class TheveninModel {
   // Voltage across the RC (concentration) element.
   Voltage rc_voltage() const { return Voltage(state_.v_rc_v); }
 
-  Voltage OpenCircuitVoltage() const;
-  Resistance InternalResistance() const;
+  // OCV(SoC) and resistance_scale * DCIR(SoC), read through the curve memo.
+  // Inline so the per-tick callers in hw pay only the key compare on a hit.
+  Voltage OpenCircuitVoltage() const {
+    RefreshCurveMemo();
+    return memo_ocv_;
+  }
+  Resistance InternalResistance() const {
+    RefreshCurveMemo();
+    return Ohms(state_.resistance_scale * memo_dcir_.value());
+  }
 
   // d(DCIR)/d(SoC) at the current SoC — the delta_i of the RBL algorithms.
   double DcirSlope() const;
 
   // Terminal voltage if `current` were applied right now (no state change).
-  Voltage TerminalVoltageAt(Current current) const;
+  Voltage TerminalVoltageAt(Current current) const {
+    double v = OpenCircuitVoltage().value() - current.value() * InternalResistance().value() -
+               state_.v_rc_v;
+    return Volts(v);
+  }
 
   // Maximum instantaneous power the cell can source given OCV, V_rc and R0
   // (the peak of the P(I) parabola), ignoring the current limit.
@@ -99,8 +121,29 @@ class TheveninModel {
   const soa::ElectricalState& kernel_state() const { return state_; }
 
  private:
+  // Re-evaluates both curves at the current SoC unless the memo already
+  // holds that exact SoC. Exact-key compare: equal SoC doubles evaluate to
+  // the same curve values (+0.0 and -0.0 both clamp to the first point), so
+  // a hit returns exactly what a fresh Evaluate would. A NaN key or SoC
+  // never compares equal, so it always re-evaluates.
+  void RefreshCurveMemo() const {
+    if (memo_soc_ != state_.soc) {
+      EvaluateCurveMemo();
+    }
+  }
+  void EvaluateCurveMemo() const;
+
   const BatteryParams* params_;
   soa::ElectricalState state_;
+
+  // Curve memo. The key starts as NaN, which never compares equal, so the
+  // first read always evaluates. The hints are the memo's own (the
+  // checkpointed ones in state_ belong to the kernel step).
+  mutable double memo_soc_ = std::numeric_limits<double>::quiet_NaN();
+  mutable Voltage memo_ocv_;
+  mutable Resistance memo_dcir_;  // Fresh curve value, before resistance_scale.
+  mutable uint32_t memo_ocv_hint_ = 0;
+  mutable uint32_t memo_dcir_hint_ = 0;
 };
 
 }  // namespace sdb

@@ -94,6 +94,9 @@ SimResult Simulator::RunLoop(SimLoopState state, const PowerTrace& load,
   double next_checkpoint = state.next_checkpoint.value();
   const bool checkpointing = checkpoint_s > 0.0 && config_.on_checkpoint != nullptr;
 
+  // Trace segment hints: derived from t alone, so they are not loop state.
+  size_t load_hint = 0;
+  size_t supply_hint = 0;
   double t = state.t.value();
   while (t < horizon_s) {
     // Publish the simulated clock so spans opened below carry it; tracing
@@ -118,8 +121,8 @@ SimResult Simulator::RunLoop(SimLoopState state, const PowerTrace& load,
       }
     }
 
-    Power p_load = load.Sample(Seconds(t));
-    Power p_supply = supply.Sample(Seconds(t));
+    Power p_load = load.Sample(Seconds(t), &load_hint);
+    Power p_supply = supply.Sample(Seconds(t), &supply_hint);
 
     if (t >= next_replan) {
       if (config_.on_barrier != nullptr &&
@@ -141,7 +144,7 @@ SimResult Simulator::RunLoop(SimLoopState state, const PowerTrace& load,
       }
     }
 
-    MicroTick tick = micro->Step(p_load, p_supply, Seconds(tick_s));
+    const MicroTick& tick = micro->Step(p_load, p_supply, Seconds(tick_s));
     runtime_->AdvanceTime(Seconds(tick_s));
     t += tick_s;
     if (config_.on_tick != nullptr) {
@@ -247,7 +250,7 @@ SimResult Simulator::RunChargeOnly(Power supply, Duration timeout) {
       }
       next_replan = t + config_.runtime_period.value();
     }
-    MicroTick tick = micro->Step(Watts(0.0), supply, Seconds(tick_s));
+    const MicroTick& tick = micro->Step(Watts(0.0), supply, Seconds(tick_s));
     t += tick_s;
     result.charged += Joules(tick.charge.absorbed.value() * tick_s);
     result.battery_loss += tick.charge.battery_loss;

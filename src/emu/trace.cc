@@ -14,18 +14,38 @@ void PowerTrace::Append(Duration duration, Power power) {
 }
 
 Power PowerTrace::Sample(Duration t) const {
+  size_t hint = 0;
+  return Sample(t, &hint);
+}
+
+Power PowerTrace::Sample(Duration t, size_t* hint) const {
   double ts = t.value();
   if (segments_.empty() || ts < 0.0) {
     return Watts(0.0);
   }
-  // Binary search for the segment containing ts.
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), ts,
-      [](double value, const TraceSegment& seg) { return value < seg.start.value(); });
-  if (it == segments_.begin()) {
-    return Watts(0.0);
+  // The segment containing ts is the last one starting at or before it. Try
+  // the hinted segment, then its successor, then binary-search.
+  const size_t n = segments_.size();
+  auto holds = [&](size_t i) {
+    return i < n && segments_[i].start.value() <= ts &&
+           (i + 1 == n || ts < segments_[i + 1].start.value());
+  };
+  size_t i = *hint;
+  if (!holds(i)) {
+    if (holds(i + 1)) {
+      i = i + 1;
+    } else {
+      auto it = std::upper_bound(
+          segments_.begin(), segments_.end(), ts,
+          [](double value, const TraceSegment& seg) { return value < seg.start.value(); });
+      if (it == segments_.begin()) {
+        return Watts(0.0);
+      }
+      i = static_cast<size_t>(it - segments_.begin()) - 1;
+    }
+    *hint = i;
   }
-  const TraceSegment& seg = *(it - 1);
+  const TraceSegment& seg = segments_[i];
   if (ts < seg.start.value() + seg.duration.value()) {
     return seg.power;
   }

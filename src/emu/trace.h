@@ -5,6 +5,7 @@
 #ifndef SRC_EMU_TRACE_H_
 #define SRC_EMU_TRACE_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/util/status.h"
@@ -28,6 +29,11 @@ class PowerTrace {
 
   // Power at absolute time t (zero before the start and after the end).
   Power Sample(Duration t) const;
+
+  // Sample(t) with a caller-held segment hint, for callers that walk time
+  // forward. The hint is used only when it names the segment containing t,
+  // so the result never depends on it; a stale hint costs a binary search.
+  Power Sample(Duration t, size_t* hint) const;
 
   Duration TotalDuration() const;
 

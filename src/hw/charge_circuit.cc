@@ -69,27 +69,28 @@ double SdbChargeCircuit::EfficiencyVsTypical(Current charge_current, Voltage bus
   return std::min(1.0, eff / config_.regulator.typical_efficiency);
 }
 
-ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
-                                  Power supply, Duration dt) {
+const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
+                                         Power supply, Duration dt) {
   SDB_TRACE_SPAN("hw", "circuit.charge_step");
   const size_t n = pack.size();
   SDB_CHECK(shares.size() == n);
   SDB_CHECK(n == banks_.size());
-  ChargeTick tick;
+  ChargeTick& tick = tick_;
   tick.supply_offered = supply;
   tick.currents.assign(n, Amps(0.0));
   tick.absorbed = Watts(0.0);
   tick.supply_used = Watts(0.0);
   tick.circuit_loss = Joules(0.0);
   tick.battery_loss = Joules(0.0);
+  tick.any_charging = false;
   if (supply.value() <= 0.0) {
     return tick;
   }
 
   // Per-battery ceiling from the selected charge profile, expressed as
   // supply-side power (battery terminal power + regulator loss).
-  std::vector<double> supply_cap(n, 0.0);
-  std::vector<double> profile_j(n, 0.0);
+  std::vector<double>& supply_cap = supply_cap_;
+  supply_cap.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     if (pack.IsOpenCircuit(i)) {
       // Disconnected: accepts no charge, and spill-over routes around it.
@@ -102,7 +103,6 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
       double err = SetpointErrorEnvelope(Amps(j));
       j *= 1.0 + rng_.Uniform(-err, err);
     }
-    profile_j[i] = j;
     double p_batt = ChargePowerAtCurrent(cell, j);
     double bus = cell.OpenCircuitVoltage().value();
     supply_cap[i] =
@@ -115,7 +115,8 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
   }
 
   // Proportional split with spill-over to batteries still below their cap.
-  std::vector<double> alloc(n, 0.0);
+  std::vector<double>& alloc = alloc_;
+  alloc.assign(n, 0.0);
   double sum_shares = 0.0;
   for (double s : shares) {
     SDB_CHECK(s >= -1e-12);
@@ -154,8 +155,10 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
   // state of that same cell, so all terminal powers can be computed before
   // any cell steps — which is what lets the batch path advance all lanes in
   // one kernel call, bit-identical to the scalar loop.
-  std::vector<double> bus_v(n, 0.0);
-  std::vector<double> p_batt(n, 0.0);
+  std::vector<double>& bus_v = bus_v_;
+  std::vector<double>& p_batt = p_batt_;
+  bus_v.assign(n, 0.0);
+  p_batt.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     if (alloc[i] <= 0.0) {
       continue;
@@ -178,7 +181,8 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
   double battery_loss_j = 0.0;
   const bool batched = soa::BatchStepping();
   if (batched) {
-    std::vector<soa::LaneRequest> lane_requests(n);
+    std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
+    lane_requests.assign(n, soa::LaneRequest{});
     for (size_t i = 0; i < n; ++i) {
       if (alloc[i] > 0.0) {
         lane_requests[i] = {soa::LaneOp::kChargePower, p_batt[i]};

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/chem/pack.h"
+#include "src/chem/soa_kernel.h"
 #include "src/hw/charge_profile.h"
 #include "src/hw/regulator.h"
 #include "src/util/rng.h"
@@ -82,9 +83,11 @@ class SdbChargeCircuit {
 
   // Splits `supply` across the pack in proportion to `shares`, each battery
   // limited by its selected charge profile; surplus spills to batteries that
-  // still accept charge. Returns what actually happened.
-  ChargeTick Step(BatteryPack& pack, const std::vector<double>& shares, Power supply,
-                  Duration dt);
+  // still accept charge. Returns what actually happened, in a tick owned by
+  // the circuit and valid until the next Step; every field is rewritten on
+  // every call.
+  const ChargeTick& Step(BatteryPack& pack, const std::vector<double>& shares, Power supply,
+                         Duration dt);
 
   // Moves `power` from battery `from` to battery `to` for one tick
   // (ChargeOneFromAnother's per-tick workhorse).
@@ -109,6 +112,15 @@ class SdbChargeCircuit {
   RegulatorModel regulator_;
   std::vector<ChargeProfileBank> banks_;
   Rng rng_;
+
+  // Output tick and per-battery scratch, reused so a steady-state Step
+  // allocates nothing.
+  ChargeTick tick_;
+  std::vector<double> supply_cap_;
+  std::vector<double> alloc_;
+  std::vector<double> bus_v_;
+  std::vector<double> p_batt_;
+  std::vector<soa::LaneRequest> lane_requests_;
 };
 
 }  // namespace sdb

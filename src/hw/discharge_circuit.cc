@@ -55,12 +55,12 @@ Power SdbDischargeCircuit::AvailablePower(const Cell& cell, Duration dt) const {
   return Watts(std::max(0.0, p * config_.power_margin));
 }
 
-DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
-                                        Power load, Duration dt) {
+const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
+                                               Power load, Duration dt) {
   SDB_TRACE_SPAN("hw", "circuit.discharge_step");
   SDB_CHECK(shares.size() == pack.size());
   const size_t n = pack.size();
-  DischargeTick tick;
+  DischargeTick& tick = tick_;
   tick.requested = load;
   tick.currents.assign(n, Amps(0.0));
   tick.battery_power.assign(n, Watts(0.0));
@@ -68,6 +68,7 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
   tick.circuit_loss = Joules(0.0);
   tick.battery_loss = Joules(0.0);
   tick.delivered = Watts(0.0);
+  tick.shortfall = false;
   if (load.value() <= 0.0) {
     JournalShortfallEdge(false, load, Watts(0.0));
     return tick;
@@ -94,7 +95,8 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
   double gross = load.value() + circuit_loss_w;
 
   // Apply the proportion-setting error and renormalise.
-  std::vector<double> realised(n, 0.0);
+  std::vector<double>& realised = realised_;
+  realised.assign(n, 0.0);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     SDB_CHECK(shares[i] >= -1e-12);
@@ -117,7 +119,8 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
 
   // Allocate per-battery power with spill-over: clamp to availability and
   // redistribute the excess across unclamped batteries.
-  std::vector<double> avail(n, 0.0);
+  std::vector<double>& avail = avail_;
+  avail.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     // A disconnected battery offers nothing, and a zero-share battery was
     // deliberately excluded (the safety mask programs 0 to quarantine a
@@ -126,7 +129,8 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
                    ? 0.0
                    : AvailablePower(pack.cell(i), dt).value();
   }
-  std::vector<double> request(n, 0.0);
+  std::vector<double>& request = request_;
+  request.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     request[i] = realised[i] * gross;
   }
@@ -159,7 +163,8 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
   double terminal_j = 0.0;
   double battery_loss_j = 0.0;
   if (soa::BatchStepping()) {
-    std::vector<soa::LaneRequest> lane_requests(n);
+    std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
+    lane_requests.assign(n, soa::LaneRequest{});
     for (size_t i = 0; i < n; ++i) {
       if (request[i] > 0.0) {
         lane_requests[i] = {soa::LaneOp::kDischargePower, request[i]};

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/chem/pack.h"
+#include "src/chem/soa_kernel.h"
 #include "src/hw/regulator.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
@@ -61,9 +62,10 @@ class SdbDischargeCircuit {
   // Draws `load` from `pack` split by `shares` (non-negative, summing to 1
   // over the pack size) for one tick. Shares of unavailable batteries spill
   // to the rest; if the whole pack cannot meet the load, delivers what it
-  // can and flags a shortfall.
-  DischargeTick Step(BatteryPack& pack, const std::vector<double>& shares, Power load,
-                     Duration dt);
+  // can and flags a shortfall. The returned tick is owned by the circuit and
+  // valid until the next Step; every field is rewritten on every call.
+  const DischargeTick& Step(BatteryPack& pack, const std::vector<double>& shares, Power load,
+                            Duration dt);
 
   // The proportion error applied to a given setting (deterministic part of
   // the Fig. 6b envelope); exposed for the microbenchmark.
@@ -89,6 +91,14 @@ class SdbDischargeCircuit {
   RegulatorModel regulator_;
   Rng rng_;
   bool shortfall_latched_ = false;
+
+  // Output tick and per-battery scratch, reused so a steady-state Step
+  // allocates nothing.
+  DischargeTick tick_;
+  std::vector<double> realised_;
+  std::vector<double> avail_;
+  std::vector<double> request_;
+  std::vector<soa::LaneRequest> lane_requests_;
 };
 
 }  // namespace sdb

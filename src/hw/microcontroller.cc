@@ -162,12 +162,13 @@ void SdbMicrocontroller::InstallFaults(FaultPlan plan) {
 
 void SdbMicrocontroller::CancelTransfer() { transfer_.reset(); }
 
-std::vector<double> SdbMicrocontroller::MaskFaulted(const std::vector<double>& ratios) const {
+const std::vector<double>& SdbMicrocontroller::MaskFaulted(const std::vector<double>& ratios) {
   bool safety_active = safety_ != nullptr && safety_->AnyUnhealthy();
   if (!safety_active && !pack_.AnyOpenCircuit()) {
     return ratios;
   }
-  std::vector<double> masked = ratios;
+  std::vector<double>& masked = masked_ratios_;
+  masked = ratios;
   double sum = 0.0;
   for (size_t i = 0; i < masked.size(); ++i) {
     if ((safety_active && safety_->IsFaulted(i)) || pack_.IsOpenCircuit(i)) {
@@ -206,9 +207,9 @@ std::vector<double> SdbMicrocontroller::MaskFaulted(const std::vector<double>& r
   return masked;
 }
 
-MicroTick SdbMicrocontroller::Step(Power load, Power external_supply, Duration dt) {
+const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Duration dt) {
   SDB_CHECK(dt.value() > 0.0);
-  MicroTick tick;
+  MicroTick& tick = tick_;
   tick.dt = dt;
   const size_t n = pack_.size();
 
@@ -237,7 +238,7 @@ MicroTick SdbMicrocontroller::Step(Power load, Power external_supply, Duration d
   double supply_to_charge = supply_w - supply_to_load;
 
   if (load_from_pack > 0.0) {
-    std::vector<double> d_ratios = MaskFaulted(discharge_ratios_);
+    const std::vector<double>& d_ratios = MaskFaulted(discharge_ratios_);
     // A collapsed regulator wastes a fraction of everything it converts:
     // the batteries must source load/eff, and the surplus is circuit loss.
     double eff = fault_.has_value() ? fault_->DischargeEfficiencyFactor() : 1.0;
@@ -262,10 +263,11 @@ MicroTick SdbMicrocontroller::Step(Power load, Power external_supply, Duration d
     tick.discharge.realised_shares.assign(n, 0.0);
     tick.discharge.circuit_loss = Joules(0.0);
     tick.discharge.battery_loss = Joules(0.0);
+    tick.discharge.shortfall = false;
   }
 
   if (supply_to_charge > 0.0) {
-    std::vector<double> c_ratios = MaskFaulted(charge_ratios_);
+    const std::vector<double>& c_ratios = MaskFaulted(charge_ratios_);
     tick.charge = charge_circuit_.Step(pack_, c_ratios, Watts(supply_to_charge), dt);
   } else {
     tick.charge.supply_offered = Watts(0.0);
@@ -274,6 +276,7 @@ MicroTick SdbMicrocontroller::Step(Power load, Power external_supply, Duration d
     tick.charge.circuit_loss = Joules(0.0);
     tick.charge.battery_loss = Joules(0.0);
     tick.charge.currents.assign(n, Amps(0.0));
+    tick.charge.any_charging = false;
   }
 
   // An open-circuit end idles an active transfer (without cancelling it):
@@ -292,6 +295,7 @@ MicroTick SdbMicrocontroller::Step(Power load, Power external_supply, Duration d
     }
   } else {
     tick.transfer = TransferTick{Joules(0.0), Joules(0.0), Joules(0.0), Joules(0.0), false, false};
+    tick.transfer_active = false;
   }
 
   // Protection: inspect every battery's realised electrical state.

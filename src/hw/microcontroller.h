@@ -155,8 +155,10 @@ class SdbMicrocontroller {
   // Advances the hardware one tick: external supply (if any) feeds the load
   // first and the surplus charges the pack per the charge ratios; any load
   // not covered by the supply is drawn from the pack per the discharge
-  // ratios; an active transfer runs on top.
-  MicroTick Step(Power load, Power external_supply, Duration dt);
+  // ratios; an active transfer runs on top. The returned tick is owned by
+  // the microcontroller and valid until the next Step (every field is
+  // rewritten on every call); a caller that keeps a tick must copy it.
+  const MicroTick& Step(Power load, Power external_supply, Duration dt);
 
   // Ground-truth access for the emulator and tests (not visible to the OS).
   const BatteryPack& pack() const { return pack_; }
@@ -185,8 +187,10 @@ class SdbMicrocontroller {
   void Reboot();
   // Zeroes faulted batteries' shares and renormalises (all-zero when every
   // battery is faulted); caps probing batteries at the supervisor's probe
-  // share, spilling the excess onto the unconstrained batteries.
-  std::vector<double> MaskFaulted(const std::vector<double>& ratios) const;
+  // share, spilling the excess onto the unconstrained batteries. Returns
+  // `ratios` itself when nothing is masked, else masked_ratios_, which the
+  // next call overwrites.
+  const std::vector<double>& MaskFaulted(const std::vector<double>& ratios);
 
   BatteryPack pack_;
   SdbDischargeCircuit discharge_circuit_;
@@ -200,6 +204,11 @@ class SdbMicrocontroller {
   bool awaiting_resync_ = false;
   bool in_reset_ = false;
   uint32_t boot_count_ = 0;
+
+  // Step's output tick and MaskFaulted's buffer, reused so a steady-state
+  // Step allocates nothing.
+  MicroTick tick_;
+  std::vector<double> masked_ratios_;
 };
 
 // Convenience: builds a microcontroller with default circuit/gauge configs

@@ -150,6 +150,82 @@ TEST(CellTest, MoveTransfersState) {
   EXPECT_LT(moved.soc(), soc);
 }
 
+// The curve accessors read a memo keyed on the exact SoC (DESIGN.md §12,
+// "Tick hot path"). After every kind of state write they must return
+// exactly what a fresh curve evaluation gives.
+void ExpectCurvesFresh(const Cell& cell, const char* after) {
+  const soa::ElectricalState state = cell.ExportLaneState().electrical;
+  const double ocv = cell.params().ocv_vs_soc.Evaluate(state.soc);
+  const double r0 = state.resistance_scale * cell.params().dcir_vs_soc.Evaluate(state.soc);
+  const double no_load = ocv - 0.0 * r0 - state.v_rc_v;
+  EXPECT_EQ(cell.OpenCircuitVoltage().value(), ocv) << "after " << after;
+  EXPECT_EQ(cell.InternalResistance().value(), r0) << "after " << after;
+  EXPECT_EQ(cell.NoLoadVoltage().value(), no_load) << "after " << after;
+}
+
+TEST(CellCurveMemoTest, ExactAfterEveryStateWrite) {
+  Cell cell = MakeCell(0.7);
+  ExpectCurvesFresh(cell, "construction");
+  cell.StepDischargePower(Watts(3.0), Seconds(30.0));
+  ExpectCurvesFresh(cell, "StepDischargePower");
+  cell.StepChargePower(Watts(4.0), Seconds(30.0));
+  ExpectCurvesFresh(cell, "StepChargePower");
+  cell.set_soc(0.31);
+  ExpectCurvesFresh(cell, "set_soc");
+  cell.AdvanceIdle(Days(20.0));
+  ExpectCurvesFresh(cell, "AdvanceIdle");
+
+  Cell other = MakeCell(0.12);
+  other.StepDischargePower(Watts(2.0), Minutes(3.0));
+  ExpectCurvesFresh(cell, "reading before import");
+  cell.ImportLaneState(other.ExportLaneState());
+  ExpectCurvesFresh(cell, "ImportLaneState");
+  EXPECT_EQ(cell.OpenCircuitVoltage(), other.OpenCircuitVoltage());
+  EXPECT_EQ(cell.InternalResistance(), other.InternalResistance());
+}
+
+TEST(CellCurveMemoTest, ExactWhenResistanceScaleChangesAtFixedSoc) {
+  // A zero-length idle step re-syncs the resistance multiplier without
+  // moving SoC, so the memo key still matches: the scale must apply anyway.
+  Cell cell = MakeCell(0.6);
+  ExpectCurvesFresh(cell, "construction");
+  const double soc = cell.soc();
+  const double scale = cell.ExportLaneState().electrical.resistance_scale;
+  cell.mutable_thermal().set_temperature(Celsius(-5.0));
+  cell.AdvanceIdle(Seconds(0.0));
+  ASSERT_EQ(cell.soc(), soc);
+  ASSERT_GT(cell.ExportLaneState().electrical.resistance_scale, scale);
+  ExpectCurvesFresh(cell, "cold re-sync");
+}
+
+TEST(CellCurveMemoTest, ExactAfterAgingRaisesResistance) {
+  Cell cell = MakeCell(0.05);
+  const double fresh_scale = cell.ExportLaneState().electrical.resistance_scale;
+  for (int k = 0; k < 8 && cell.aging().cycle_count() < 1.0; ++k) {
+    ExpectCurvesFresh(cell, "cycling");
+    cell.set_soc(0.05);
+    cell.StepChargeCurrent(Amps(3.0), Minutes(30.0));
+  }
+  ASSERT_GE(cell.aging().cycle_count(), 1.0);
+  ASSERT_GT(cell.ExportLaneState().electrical.resistance_scale, fresh_scale);
+  ExpectCurvesFresh(cell, "cycle fade");
+}
+
+TEST(CellCurveMemoTest, ExactAfterMove) {
+  Cell cell = MakeCell(0.45);
+  cell.StepDischargePower(Watts(2.0), Minutes(5.0));
+  ExpectCurvesFresh(cell, "step");
+  Cell moved = std::move(cell);
+  ExpectCurvesFresh(moved, "move construction");
+
+  Cell target = MakeCell(0.9);
+  ExpectCurvesFresh(target, "construction");
+  target = std::move(moved);
+  ExpectCurvesFresh(target, "move assignment");
+  target.StepDischargePower(Watts(2.0), Minutes(1.0));
+  ExpectCurvesFresh(target, "step after move");
+}
+
 TEST(CellDeathTest, InvalidParamsAbort) {
   BatteryParams bad = MakeType2Standard(MilliAmpHours(3000.0));
   bad.nominal_capacity = Coulombs(-1.0);

@@ -258,6 +258,31 @@ TEST(RigCodecTest, MicroStateRoundTripIsByteStable) {
   EXPECT_EQ(EncodeMicroState(micro.SaveState()), EncodeMicroState(twin.SaveState()));
 }
 
+// The cells' curve memo is derived, not state: reading the curve
+// accessors just before encoding must not change a single snapshot byte,
+// nor anything the rig does afterwards.
+TEST(RigCodecTest, MicroStateBytesIgnoreCurveMemo) {
+  SdbMicrocontroller read = MakeTestMicro(11);
+  SdbMicrocontroller unread = MakeTestMicro(11);
+  auto read_every_accessor = [](const SdbMicrocontroller& micro) {
+    double sink = 0.0;
+    for (size_t i = 0; i < micro.battery_count(); ++i) {
+      const Cell& cell = micro.pack().cell(i);
+      sink += cell.OpenCircuitVoltage().value() + cell.InternalResistance().value() +
+              cell.NoLoadVoltage().value() + cell.MaxDischargePower().value() +
+              cell.MaxChargePower().value() + cell.GetStatus().terminal_voltage.value();
+    }
+    return sink;
+  };
+  for (int i = 0; i < 12; ++i) {
+    read.Step(Watts(5.0), Watts(i % 3 == 0 ? 9.0 : 0.0), Seconds(10.0));
+    unread.Step(Watts(5.0), Watts(i % 3 == 0 ? 9.0 : 0.0), Seconds(10.0));
+    EXPECT_GT(read_every_accessor(read), 0.0);
+    EXPECT_EQ(EncodeMicroState(read.SaveState()), EncodeMicroState(unread.SaveState()))
+        << "tick " << i;
+  }
+}
+
 TEST(RigCodecTest, MicroStateTruncationRejectedEverywhere) {
   SdbMicrocontroller micro = MakeTestMicro(11);
   micro.InstallFaults(SmallPlan());

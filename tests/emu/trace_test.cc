@@ -1,5 +1,7 @@
 #include "src/emu/trace.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace sdb {
@@ -22,6 +24,40 @@ TEST(TraceTest, AppendAndSample) {
   EXPECT_DOUBLE_EQ(trace.Sample(Seconds(14.9)).value(), 7.0);
   EXPECT_DOUBLE_EQ(trace.Sample(Seconds(15.0)).value(), 0.0);
   EXPECT_DOUBLE_EQ(trace.Sample(Seconds(-1.0)).value(), 0.0);
+}
+
+// Reference for the hinted sampler: a linear scan for the segment holding t.
+Power LinearScanSample(const PowerTrace& trace, double t) {
+  for (const TraceSegment& seg : trace.segments()) {
+    if (seg.start.value() <= t && t < seg.start.value() + seg.duration.value()) {
+      return seg.power;
+    }
+  }
+  return Watts(0.0);
+}
+
+TEST(TraceTest, HintedSampleMatchesLinearScan) {
+  PowerTrace trace;
+  trace.Append(Seconds(10.0), Watts(2.0));
+  trace.Append(Seconds(0.5), Watts(7.0));
+  trace.Append(Seconds(3.0), Watts(0.0));
+  trace.Append(Seconds(4.0), Watts(5.0));
+  // Forward in small steps (hint hits and successor hits), then jumps
+  // backwards and past the end (stale hints fall back to the search).
+  std::vector<double> times;
+  for (double t = -1.0; t < 20.0; t += 0.25) {
+    times.push_back(t);
+  }
+  for (double t : {15.0, 0.0, 10.5, 17.5, 30.0, 3.0, 10.0, 13.5, -2.0, 14.0}) {
+    times.push_back(t);
+  }
+  size_t hint = 0;
+  for (double t : times) {
+    EXPECT_EQ(trace.Sample(Seconds(t), &hint), LinearScanSample(trace, t)) << "t=" << t;
+    EXPECT_EQ(trace.Sample(Seconds(t)), LinearScanSample(trace, t)) << "t=" << t;
+  }
+  size_t stale = 99;
+  EXPECT_EQ(trace.Sample(Seconds(12.0), &stale), LinearScanSample(trace, 12.0));
 }
 
 TEST(TraceTest, TotalDurationAndEnergy) {

@@ -1,5 +1,7 @@
 #include "src/hw/charge_circuit.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
@@ -66,6 +68,30 @@ TEST(ChargeCircuitTest, ZeroSupplyIsNoOp) {
   ChargeTick tick = f.circuit->Step(f.pack, {0.5, 0.5}, Watts(0.0), Seconds(1.0));
   EXPECT_FALSE(tick.any_charging);
   EXPECT_DOUBLE_EQ(tick.absorbed.value(), 0.0);
+}
+
+void ExpectIdleTick(const ChargeTick& tick, Power offered, size_t n) {
+  EXPECT_FALSE(tick.any_charging);
+  EXPECT_EQ(tick.supply_offered, offered);
+  EXPECT_EQ(tick.absorbed, Watts(0.0));
+  EXPECT_EQ(tick.supply_used, Watts(0.0));
+  EXPECT_EQ(tick.circuit_loss, Joules(0.0));
+  EXPECT_EQ(tick.battery_loss, Joules(0.0));
+  EXPECT_EQ(tick.currents, std::vector<Current>(n, Amps(0.0)));
+}
+
+// Step hands back one reused tick: a charging tick's fields must not leak
+// into a later tick that charges nothing.
+TEST(ChargeCircuitTest, ReusedTickClearsAfterCharging) {
+  Fixture f;
+  ASSERT_TRUE(f.circuit->Step(f.pack, {0.5, 0.5}, Watts(20.0), Seconds(1.0)).any_charging);
+  ExpectIdleTick(f.circuit->Step(f.pack, {0.5, 0.5}, Watts(0.0), Seconds(1.0)), Watts(0.0),
+                 f.pack.size());
+
+  ASSERT_TRUE(f.circuit->Step(f.pack, {0.5, 0.5}, Watts(20.0), Seconds(1.0)).any_charging);
+  // All-zero shares: no battery is offered any of the supply.
+  ExpectIdleTick(f.circuit->Step(f.pack, {0.0, 0.0}, Watts(20.0), Seconds(1.0)), Watts(20.0),
+                 f.pack.size());
 }
 
 TEST(ChargeCircuitTest, SetpointErrorEnvelopeMatchesFig6d) {

@@ -1,5 +1,7 @@
 #include "src/hw/discharge_circuit.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
@@ -87,6 +89,55 @@ TEST(DischargeCircuitTest, ZeroLoadIsNoOp) {
   EXPECT_FALSE(tick.shortfall);
   EXPECT_DOUBLE_EQ(tick.delivered.value(), 0.0);
   EXPECT_DOUBLE_EQ(pack.cell(0).soc(), 1.0);
+}
+
+void ExpectSameTick(const DischargeTick& a, const DischargeTick& b) {
+  EXPECT_EQ(a.requested, b.requested);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.circuit_loss, b.circuit_loss);
+  EXPECT_EQ(a.battery_loss, b.battery_loss);
+  EXPECT_EQ(a.currents, b.currents);
+  EXPECT_EQ(a.battery_power, b.battery_power);
+  EXPECT_EQ(a.realised_shares, b.realised_shares);
+  EXPECT_EQ(a.shortfall, b.shortfall);
+}
+
+// Step hands back one reused tick: a field set by an earlier Step must be
+// rewritten, not carried over, by a later one.
+TEST(DischargeCircuitTest, ReusedTickClearsAfterOverload) {
+  BatteryPack pack = MakePack();
+  SdbDischargeCircuit circuit = MakeCircuit();
+  const size_t n = pack.size();
+  DischargeTick overloaded = circuit.Step(pack, {0.5, 0.5}, Watts(500.0), Seconds(1.0));
+  ASSERT_TRUE(overloaded.shortfall);
+  ASSERT_GT(overloaded.currents[0].value(), 0.0);
+  ASSERT_GT(overloaded.realised_shares[1], 0.0);
+
+  const DischargeTick& idle = circuit.Step(pack, {0.5, 0.5}, Watts(0.0), Seconds(1.0));
+  EXPECT_FALSE(idle.shortfall);
+  EXPECT_EQ(idle.delivered, Watts(0.0));
+  EXPECT_EQ(idle.circuit_loss, Joules(0.0));
+  EXPECT_EQ(idle.battery_loss, Joules(0.0));
+  EXPECT_EQ(idle.currents, std::vector<Current>(n, Amps(0.0)));
+  EXPECT_EQ(idle.battery_power, std::vector<Power>(n, Watts(0.0)));
+  EXPECT_EQ(idle.realised_shares, std::vector<double>(n, 0.0));
+  SdbDischargeCircuit fresh = MakeCircuit();
+  ExpectSameTick(idle, fresh.Step(pack, {0.5, 0.5}, Watts(0.0), Seconds(1.0)));
+}
+
+TEST(DischargeCircuitTest, ReusedTickMatchesFreshAfterEmptyPackShortfall) {
+  // The empty-pack shortfall returns before any noise draw, so a served
+  // tick that follows must equal a fresh circuit's first tick exactly.
+  BatteryPack empty = MakePack(0.0, 0.0);
+  SdbDischargeCircuit circuit = MakeCircuit();
+  ASSERT_TRUE(circuit.Step(empty, {0.5, 0.5}, Watts(5.0), Seconds(1.0)).shortfall);
+
+  BatteryPack reused_pack = MakePack(0.8, 0.8);
+  BatteryPack fresh_pack = MakePack(0.8, 0.8);
+  SdbDischargeCircuit fresh = MakeCircuit();
+  const DischargeTick& served = circuit.Step(reused_pack, {0.4, 0.6}, Watts(5.0), Seconds(1.0));
+  EXPECT_FALSE(served.shortfall);
+  ExpectSameTick(served, fresh.Step(fresh_pack, {0.4, 0.6}, Watts(5.0), Seconds(1.0)));
 }
 
 TEST(DischargeCircuitTest, EnergyLedgerBalances) {

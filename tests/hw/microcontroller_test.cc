@@ -1,5 +1,7 @@
 #include "src/hw/microcontroller.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
@@ -144,6 +146,66 @@ TEST(MicroTest, GaugeAnchorsAtFull) {
   }
   auto statuses = micro.QueryBatteryStatus();
   EXPECT_NEAR(statuses[0].soc, 1.0, 1e-6);
+}
+
+// Step hands back one reused tick. Each case below steps a tick that sets
+// a field, then one that must clear it, and checks the second tick exactly.
+void ExpectNoPackDischarge(const MicroTick& tick, size_t n) {
+  EXPECT_FALSE(tick.discharge.shortfall);
+  EXPECT_EQ(tick.discharge.circuit_loss, Joules(0.0));
+  EXPECT_EQ(tick.discharge.battery_loss, Joules(0.0));
+  EXPECT_EQ(tick.discharge.currents, std::vector<Current>(n, Amps(0.0)));
+  EXPECT_EQ(tick.discharge.battery_power, std::vector<Power>(n, Watts(0.0)));
+  EXPECT_EQ(tick.discharge.realised_shares, std::vector<double>(n, 0.0));
+}
+
+TEST(MicroTickReuseTest, ShortfallClearsOnZeroLoad) {
+  SdbMicrocontroller micro = MakeMicro();
+  ASSERT_TRUE(micro.Step(Watts(1000.0), Watts(0.0), Seconds(1.0)).discharge.shortfall);
+  const MicroTick& tick = micro.Step(Watts(0.0), Watts(0.0), Seconds(1.0));
+  ExpectNoPackDischarge(tick, micro.battery_count());
+  EXPECT_EQ(tick.discharge.requested, Watts(0.0));
+  EXPECT_EQ(tick.discharge.delivered, Watts(0.0));
+}
+
+TEST(MicroTickReuseTest, ShortfallClearsWhenSupplyCoversLoad) {
+  SdbMicrocontroller micro = MakeMicro();
+  ASSERT_TRUE(micro.Step(Watts(1000.0), Watts(0.0), Seconds(1.0)).discharge.shortfall);
+  const MicroTick& tick = micro.Step(Watts(5.0), Watts(5.0), Seconds(1.0));
+  ExpectNoPackDischarge(tick, micro.battery_count());
+  EXPECT_EQ(tick.discharge.requested, Watts(5.0));
+  EXPECT_EQ(tick.discharge.delivered, Watts(5.0));
+  EXPECT_FALSE(tick.charge.any_charging);
+}
+
+TEST(MicroTickReuseTest, ChargingClearsOnIdleTick) {
+  SdbMicrocontroller micro = MakeMicro(0.5, 0.5);
+  ASSERT_TRUE(micro.Step(Watts(0.0), Watts(30.0), Seconds(1.0)).charge.any_charging);
+  const MicroTick& tick = micro.Step(Watts(0.0), Watts(0.0), Seconds(1.0));
+  EXPECT_FALSE(tick.charge.any_charging);
+  EXPECT_EQ(tick.charge.supply_offered, Watts(0.0));
+  EXPECT_EQ(tick.charge.absorbed, Watts(0.0));
+  EXPECT_EQ(tick.charge.supply_used, Watts(0.0));
+  EXPECT_EQ(tick.charge.circuit_loss, Joules(0.0));
+  EXPECT_EQ(tick.charge.battery_loss, Joules(0.0));
+  EXPECT_EQ(tick.charge.currents, std::vector<Current>(micro.battery_count(), Amps(0.0)));
+}
+
+TEST(MicroTickReuseTest, TransferClearsOnceCancelled) {
+  SdbMicrocontroller micro = MakeMicro(1.0, 0.2);
+  ASSERT_TRUE(micro.ChargeOneFromAnother(0, 1, Watts(8.0), Minutes(2.0)).ok());
+  const MicroTick& moving = micro.Step(Watts(0.0), Watts(0.0), Seconds(1.0));
+  ASSERT_TRUE(moving.transfer_active);
+  ASSERT_GT(moving.transfer.moved.value(), 0.0);
+  micro.CancelTransfer();
+  const MicroTick& tick = micro.Step(Watts(0.0), Watts(0.0), Seconds(1.0));
+  EXPECT_FALSE(tick.transfer_active);
+  EXPECT_EQ(tick.transfer.moved, Joules(0.0));
+  EXPECT_EQ(tick.transfer.drawn, Joules(0.0));
+  EXPECT_EQ(tick.transfer.circuit_loss, Joules(0.0));
+  EXPECT_EQ(tick.transfer.battery_loss, Joules(0.0));
+  EXPECT_FALSE(tick.transfer.source_exhausted);
+  EXPECT_FALSE(tick.transfer.destination_full);
 }
 
 TEST(MicroSafetyTest, FaultedBatteryDropsOutOfTheSplit) {

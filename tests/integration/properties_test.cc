@@ -14,13 +14,15 @@
 namespace sdb {
 namespace {
 
+// gtest lists a case by printing its raw bytes, so `name` goes last: a
+// leading pointer would make the listed test names change with every build.
 struct PropertyCase {
-  const char* name;
   double load_w;
   double directive;
   double soc0;
   double soc1;
   uint64_t seed;
+  const char* name;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
@@ -91,14 +93,14 @@ TEST_P(SystemPropertyTest, ProgrammedRatiosAlwaysValid) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SystemPropertyTest,
-    ::testing::Values(PropertyCase{"light_rbl", 2.0, 1.0, 1.0, 1.0, 11},
-                      PropertyCase{"light_ccb", 2.0, 0.0, 1.0, 1.0, 12},
-                      PropertyCase{"heavy_rbl", 20.0, 1.0, 1.0, 1.0, 13},
-                      PropertyCase{"heavy_blend", 20.0, 0.5, 1.0, 1.0, 14},
-                      PropertyCase{"asymmetric_soc", 8.0, 1.0, 0.9, 0.2, 15},
-                      PropertyCase{"one_near_empty", 8.0, 1.0, 0.03, 1.0, 16},
-                      PropertyCase{"both_low", 12.0, 0.7, 0.15, 0.15, 17},
-                      PropertyCase{"overload", 80.0, 1.0, 1.0, 1.0, 18}),
+    ::testing::Values(PropertyCase{2.0, 1.0, 1.0, 1.0, 11, "light_rbl"},
+                      PropertyCase{2.0, 0.0, 1.0, 1.0, 12, "light_ccb"},
+                      PropertyCase{20.0, 1.0, 1.0, 1.0, 13, "heavy_rbl"},
+                      PropertyCase{20.0, 0.5, 1.0, 1.0, 14, "heavy_blend"},
+                      PropertyCase{8.0, 1.0, 0.9, 0.2, 15, "asymmetric_soc"},
+                      PropertyCase{8.0, 1.0, 0.03, 1.0, 16, "one_near_empty"},
+                      PropertyCase{12.0, 0.7, 0.15, 0.15, 17, "both_low"},
+                      PropertyCase{80.0, 1.0, 1.0, 1.0, 18, "overload"}),
     CaseName);
 
 // Fuzz: random API command sequences against the microcontroller must never
