@@ -83,6 +83,8 @@ uint64_t CountStatusDrift(const BatteryStatus& saved, const BatteryStatus& hw) {
 }
 
 // Chemical energy still extractable at `soc` per the manufacturer OCV curve.
+// The trapezoid points rise monotonically, so one segment hint carries from
+// each point to the next (EvaluateHinted is bit-identical to Evaluate).
 Energy RemainingEnergy(const BatteryParams& params, double soc, Charge capacity) {
   if (soc <= 0.0) {
     return Joules(0.0);
@@ -90,9 +92,10 @@ Energy RemainingEnergy(const BatteryParams& params, double soc, Charge capacity)
   constexpr int kPanels = 16;
   double h = soc / kPanels;
   double sum = 0.0;
+  uint32_t hint = 0;
   for (int i = 0; i <= kPanels; ++i) {
     double weight = (i == 0 || i == kPanels) ? 0.5 : 1.0;
-    sum += weight * params.ocv_vs_soc.Evaluate(i * h);
+    sum += weight * params.ocv_vs_soc.EvaluateHinted(i * h, &hint);
   }
   return Joules(sum * h * capacity.value());
 }

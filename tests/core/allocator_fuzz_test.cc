@@ -1,6 +1,7 @@
 // Randomised property tests for the Lagrangian allocator: for arbitrary
 // resistance/growth/cap vectors and targets, the invariants that every
 // policy depends on must hold.
+#include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -41,9 +42,9 @@ TEST(AllocatorFuzzTest, InvariantsHoldAcrossRandomProblems) {
       }
       sum += y[i].value();
     }
-    // Sum equals min(target, total capability).
+    // Sum equals min(target, total capability), to rounding.
     double expected = std::min(problem.total_current.value(), cap_sum);
-    EXPECT_NEAR(sum, expected, std::max(1e-6, expected * 1e-4)) << "episode " << episode;
+    EXPECT_NEAR(sum, expected, expected * 1e-9) << "episode " << episode;
   }
 }
 
@@ -77,9 +78,58 @@ TEST(AllocatorFuzzTest, MarginalCostsEqualisedAmongInteriorBatteries) {
     if (interior.size() >= 2) {
       double lo = *std::min_element(interior.begin(), interior.end());
       double hi = *std::max_element(interior.begin(), interior.end());
-      EXPECT_NEAR(hi, lo, std::max(1e-6, hi * 5e-3)) << "episode " << episode;
+      EXPECT_NEAR(hi, lo, hi * 1e-8) << "episode " << episode;
     }
   }
+}
+
+TEST(AllocatorFuzzTest, CappedBatteriesSitAtOrBelowTheMultiplier) {
+  // KKT for a battery held at its cap: its marginal cost there is no higher
+  // than the shared multiplier, read off the interior batteries (otherwise
+  // moving current from it to an interior battery would lower the cost).
+  // Targets span 20..95% of the cap sum so caps bind often.
+  Rng rng(20151004);
+  int checked = 0;
+  for (int episode = 0; episode < 2000; ++episode) {
+    MarginalCostProblem problem;
+    size_t n = 2 + rng.NextBounded(4);
+    double cap_sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      problem.resistance.push_back(Ohms(rng.Uniform(0.01, 0.5)));
+      problem.dcir_growth.push_back(ResistancePerCharge(rng.Uniform(0.0, 5e-4)));
+      double cap = rng.Uniform(0.2, 6.0);
+      problem.current_cap.push_back(Amps(cap));
+      cap_sum += cap;
+    }
+    problem.horizon = Seconds(rng.Uniform(0.0, 3600.0));
+    problem.total_current = Amps(rng.Uniform(0.2, 0.95) * cap_sum);
+
+    std::vector<Current> y = SolveMarginalCostAllocation(problem);
+    auto marginal = [&](size_t i, double current) {
+      double hg3 = 3.0 * problem.horizon.value() * problem.dcir_growth[i].value();
+      return 2.0 * problem.resistance[i].value() * current + hg3 * current * current;
+    };
+    std::vector<double> interior;
+    std::vector<size_t> capped;
+    for (size_t i = 0; i < n; ++i) {
+      double cap = problem.current_cap[i].value();
+      if (y[i].value() >= cap) {
+        capped.push_back(i);
+      } else if (y[i].value() > 1e-9 && y[i].value() < cap - 1e-6) {
+        interior.push_back(marginal(i, y[i].value()));
+      }
+    }
+    if (interior.empty()) {
+      continue;
+    }
+    double lambda = *std::min_element(interior.begin(), interior.end());
+    for (size_t i : capped) {
+      EXPECT_LE(marginal(i, problem.current_cap[i].value()), lambda * (1.0 + 1e-8))
+          << "episode " << episode << " battery " << i;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500);
 }
 
 TEST(AllocatorFuzzTest, MonotoneInTarget) {

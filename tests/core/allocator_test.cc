@@ -1,6 +1,8 @@
 #include "src/core/allocator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,238 @@ TEST(AllocatorTest, MarginalCostsEqualAtOptimum) {
     return 2.0 * p.resistance[i].value() * y[i].value() + hg3 * y[i].value() * y[i].value();
   };
   EXPECT_NEAR(mc(0), mc(1), 1e-3 * mc(0));
+}
+
+// --- Differential test against the reference bisection --------------------
+
+// The allocator's specification, frozen: the fixed 120-step bisection that
+// SolveMarginalCostAllocation used to run. The solver now finds the same
+// multiplier with a handful of evaluations and must return exactly these
+// doubles. Do not edit: any change here moves every pinned digest.
+struct ReferenceSolution {
+  std::vector<double> currents;
+  double lambda = 0.0;     // Final multiplier (0 when nothing was solved).
+  double lambda_hi = 0.0;  // The bisection's upper bracket.
+};
+
+double ReferenceCurrentAtMultiplier(double r, double hg3, double lambda) {
+  if (lambda <= 0.0) {
+    return 0.0;
+  }
+  if (hg3 <= 0.0) {
+    return lambda / (2.0 * r);
+  }
+  double disc = 4.0 * r * r + 4.0 * hg3 * lambda;
+  return (-2.0 * r + std::sqrt(disc)) / (2.0 * hg3);
+}
+
+ReferenceSolution ReferenceBisection(const MarginalCostProblem& problem) {
+  const size_t n = problem.resistance.size();
+  ReferenceSolution out;
+  out.currents.assign(n, 0.0);
+  const double total = problem.total_current.value();
+  const double horizon = problem.horizon.value();
+  if (total <= 0.0 || n == 0) {
+    return out;
+  }
+  std::vector<double> resistance(n), growth(n), cap(n);
+  double cap_sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    resistance[i] = problem.resistance[i].value();
+    growth[i] = problem.dcir_growth[i].value();
+    cap[i] = problem.current_cap[i].value();
+    cap_sum += cap[i];
+  }
+  if (cap_sum <= total) {
+    out.currents = cap;
+    return out;
+  }
+  auto hg3 = [&](size_t i) { return 3.0 * horizon * growth[i]; };
+  auto total_at = [&](double lambda) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (cap[i] <= 0.0) {
+        continue;
+      }
+      double y = ReferenceCurrentAtMultiplier(resistance[i], hg3(i), lambda);
+      sum += std::min(y, cap[i]);
+    }
+    return sum;
+  };
+  double lambda_hi = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (cap[i] <= 0.0) {
+      continue;
+    }
+    double mc = 2.0 * resistance[i] * cap[i] + hg3(i) * cap[i] * cap[i];
+    lambda_hi = std::max(lambda_hi, mc);
+  }
+  lambda_hi *= 1.0 + 1e-9;
+  double lo = 0.0;
+  double hi = lambda_hi;
+  for (int iter = 0; iter < 120; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    if (total_at(mid) < total) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  double lambda = 0.5 * (lo + hi);
+  for (size_t i = 0; i < n; ++i) {
+    if (cap[i] <= 0.0) {
+      continue;
+    }
+    double y = ReferenceCurrentAtMultiplier(resistance[i], hg3(i), lambda);
+    out.currents[i] = std::min(y, cap[i]);
+  }
+  out.lambda = lambda;
+  out.lambda_hi = lambda_hi;
+  return out;
+}
+
+// Bit-for-bit equality (memcmp, so -0.0 vs 0.0 and NaN payloads count).
+bool SameBits(const std::vector<Current>& got, const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    double g = got[i].value();
+    if (std::memcmp(&g, &want[i], sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+MarginalCostProblem MakeProblem(const std::vector<double>& r, const std::vector<double>& g,
+                                const std::vector<double>& cap, double total, double horizon) {
+  MarginalCostProblem p;
+  for (size_t i = 0; i < r.size(); ++i) {
+    p.resistance.push_back(Ohms(r[i]));
+    p.dcir_growth.push_back(ResistancePerCharge(g[i]));
+    p.current_cap.push_back(Amps(cap[i]));
+  }
+  p.total_current = Amps(total);
+  p.horizon = Seconds(horizon);
+  return p;
+}
+
+double LogUniform(Rng& rng, double lo, double hi) {
+  return std::exp(rng.Uniform(std::log(lo), std::log(hi)));
+}
+
+// The solver returns the bisection's midpoint of (prev(T), T) in closed
+// form when lambda_hi < T * 2^32, and replays the bisection otherwise.
+// Classify a solved case by which side of that line it falls (2x margin).
+bool TakesReplayBranch(const ReferenceSolution& ref) {
+  return ref.lambda_hi > ref.lambda * 0x1p33;
+}
+
+void ExpectMatchesReference(const MarginalCostProblem& p, const char* label) {
+  ReferenceSolution ref = ReferenceBisection(p);
+  std::vector<Current> got = SolveMarginalCostAllocation(p);
+  ASSERT_TRUE(SameBits(got, ref.currents)) << label;
+}
+
+TEST(AllocatorDifferentialTest, OneEligibleBattery) {
+  ExpectMatchesReference(MakeProblem({0.05}, {0.0}, {10.0}, 3.0, 600.0), "n=1, g=0");
+  ExpectMatchesReference(MakeProblem({0.05}, {2e-4}, {10.0}, 3.0, 600.0), "n=1, g>0");
+  std::vector<double> r = {0.05, 0.02, 0.3};
+  std::vector<double> g = {1e-4, 1e-4, 0.0};
+  std::vector<double> cap = {0.0, 4.0, 0.0};
+  ExpectMatchesReference(MakeProblem(r, g, cap, 1.5, 600.0), "one of three eligible");
+}
+
+TEST(AllocatorDifferentialTest, MixedZeroCaps) {
+  std::vector<double> r = {0.05, 0.08, 0.02, 0.11};
+  std::vector<double> g = {1e-4, 0.0, 3e-4, 5e-5};
+  std::vector<double> cap = {6.0, 0.0, 2.5, 0.0};
+  ExpectMatchesReference(MakeProblem(r, g, cap, 4.0, 900.0), "zero caps interleaved");
+}
+
+TEST(AllocatorDifferentialTest, ZeroGrowthWithPositiveHorizon) {
+  // hg3 == 0 takes the linear branch of the inverse marginal cost.
+  std::vector<double> r = {0.03, 0.07, 0.2};
+  std::vector<double> g = {0.0, 0.0, 0.0};
+  std::vector<double> cap = {5.0, 5.0, 5.0};
+  ExpectMatchesReference(MakeProblem(r, g, cap, 7.5, 3600.0), "g=0, H>0");
+}
+
+TEST(AllocatorDifferentialTest, SubnormalTotals) {
+  // A subnormal target against ordinary caps (the replay branch), and
+  // subnormal caps and target, where T itself is subnormal.
+  MarginalCostProblem a = MakeProblem({0.05, 0.1}, {1e-4, 0.0}, {10.0, 10.0}, 1e-310, 600.0);
+  EXPECT_TRUE(TakesReplayBranch(ReferenceBisection(a)));
+  ExpectMatchesReference(a, "subnormal total");
+  MarginalCostProblem b = MakeProblem({0.05, 0.1}, {0.0, 0.0}, {1e-310, 2e-310}, 2e-310, 600.0);
+  ExpectMatchesReference(b, "subnormal caps and total");
+}
+
+TEST(AllocatorDifferentialTest, TinyTotalAgainstHugeCapsReplays) {
+  // lambda_hi / T is about 2^85: the bisection spends its 120 steps before
+  // the bracket closes on adjacent doubles, so only the replay matches.
+  std::vector<double> r = {0.05, 0.02, 0.4};
+  std::vector<double> g = {2e-4, 0.0, 1e-5};
+  std::vector<double> cap = {1e4, 1e4, 1e4};
+  MarginalCostProblem p = MakeProblem(r, g, cap, 1e-16, 600.0);
+  ASSERT_TRUE(TakesReplayBranch(ReferenceBisection(p)));
+  ExpectMatchesReference(p, "lambda_hi / T > 2^32");
+}
+
+TEST(AllocatorDifferentialTest, ThresholdAboveTheBracketReplays) {
+  // A growth so small that 4 hg3 lambda vanishes against 4 r^2: the
+  // reference's total_at is 0 across the whole bracket, so T > lambda_hi
+  // and the bisection never converges. The replay reproduces it anyway.
+  MarginalCostProblem p = MakeProblem({1.0, 1.0}, {1e-21, 1e-21}, {1.0, 1.0}, 0.5, 600.0);
+  ExpectMatchesReference(p, "T above lambda_hi");
+}
+
+TEST(AllocatorDifferentialTest, SaturatedReturnsCaps) {
+  MarginalCostProblem over = MakeProblem({0.05, 0.05}, {1e-4, 0.0}, {1.0, 2.0}, 5.0, 600.0);
+  ExpectMatchesReference(over, "cap_sum < total");
+  MarginalCostProblem exact = MakeProblem({0.05, 0.05}, {1e-4, 0.0}, {1.0, 2.0}, 3.0, 600.0);
+  ExpectMatchesReference(exact, "cap_sum == total");
+}
+
+TEST(AllocatorDifferentialTest, BitIdenticalOnSeededGrid) {
+  // 240k problems: n = 1..4, zero caps, g = 0 and g > 0, horizons from 0 to
+  // a day, and totals log-uniform from 1e-30 to 1.2 of the cap sum (below
+  // about 1e-20 the bisection runs out of steps before its bracket closes).
+  Rng rng(20150204);
+  int mismatches = 0;
+  int closed_form = 0;
+  int replay = 0;
+  for (int k = 0; k < 240000; ++k) {
+    size_t n = 1 + rng.NextBounded(4);
+    MarginalCostProblem p;
+    double cap_sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      p.resistance.push_back(Ohms(LogUniform(rng, 1e-3, 5.0)));
+      double growth = rng.Bernoulli(0.3) ? 0.0 : LogUniform(rng, 1e-8, 1e-2);
+      p.dcir_growth.push_back(ResistancePerCharge(growth));
+      double cap = rng.Bernoulli(0.15) ? 0.0 : rng.Uniform(0.01, 20.0);
+      p.current_cap.push_back(Amps(cap));
+      cap_sum += cap;
+    }
+    p.horizon = Seconds(rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.0, 86400.0));
+    double fraction = LogUniform(rng, 1e-30, 1.2);
+    p.total_current = Amps(fraction * std::max(cap_sum, 1.0));
+    ReferenceSolution ref = ReferenceBisection(p);
+    std::vector<Current> got = SolveMarginalCostAllocation(p);
+    if (!SameBits(got, ref.currents)) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "problem " << k << " differs from the reference";
+      }
+    }
+    if (ref.lambda > 0.0) {
+      (TakesReplayBranch(ref) ? replay : closed_form) += 1;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Both ways of returning the bisection's answer are exercised.
+  EXPECT_GT(closed_form, 40000);
+  EXPECT_GT(replay, 40000);
 }
 
 TEST(NormalizeSharesTest, NormalisesPositiveWeights) {
