@@ -176,7 +176,9 @@ std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& prob
   // step moves them. When T <= lambda_hi < T * 2^32 that happens well
   // within kBisectionSteps, at lo = prev(T), hi = T. Otherwise (a tiny
   // total against large caps, or T above the bracket) replay the loop with
-  // the exact comparison, which needs no evaluation of total_at.
+  // the exact comparison, which needs no evaluation of total_at. The replay
+  // alone would be exact too, but its 50-plus dependent steps per solve cost
+  // about 30% of charge-replan's throughput, so the common case skips them.
   if (threshold <= lambda_hi && lambda_hi < threshold * 0x1p32) {
     lambda = 0.5 * (std::nextafter(threshold, 0.0) + threshold);
   } else {
