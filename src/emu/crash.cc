@@ -1,35 +1,26 @@
 #include "src/emu/crash.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <utility>
 
-#include "src/chem/library.h"
-#include "src/core/checkpoint/rig_codec.h"
 #include "src/core/checkpoint/snapshot.h"
 #include "src/core/checkpoint/store.h"
 #include "src/core/checkpoint/wire.h"
-#include "src/core/runtime.h"
-#include "src/hw/command_link.h"
-#include "src/hw/safety.h"
+#include "src/emu/harness.h"
+#include "src/emu/soak.h"
 #include "src/os/predictor.h"
 #include "src/os/workload_classifier.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
-
-#include "src/emu/soak.h"
 
 namespace sdb {
 
 namespace {
-
-constexpr int kCrashBatteries = 4;
-constexpr size_t kMaxViolationsPerSchedule = 16;
 
 // Every schedule derives its rig and plans from the schedule seed alone, so
 // a report line ("seed 17 diverged") is all that is needed to replay it.
@@ -37,108 +28,13 @@ constexpr uint64_t kCrashMicroSalt = 0xC4A5B0075EEDULL;
 constexpr uint64_t kCrashPlanSalt = 0xCAA5FF1A55EEDULL;
 constexpr uint64_t kTornWriteSalt = 0x70A2217E5EEDULL;
 
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixU64(h, bits);
-}
-
 bool SameBits(double a, double b) {
-  uint64_t ab;
-  uint64_t bb;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
-}
-
-// Lifecycle doctrine mirrors the fault soak: recovery on, dwell times short
-// enough to finish inside the horizon.
-RecoveryConfig CrashRecovery() {
-  RecoveryConfig recovery;
-  recovery.enabled = true;
-  recovery.base_dwell = Minutes(3.0);
-  recovery.dwell_backoff = 2.0;
-  recovery.max_dwell = Minutes(12.0);
-  recovery.probe_duration = Minutes(2.0);
-  return recovery;
-}
-
-std::vector<Cell> MakeCrashCells() {
-  std::vector<Cell> cells;
-  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.8);
-  return cells;
-}
-
-std::vector<SafetyLimits> MakeCrashLimits(const SdbMicrocontroller& micro) {
-  std::vector<SafetyLimits> limits;
-  for (size_t i = 0; i < micro.battery_count(); ++i) {
-    limits.push_back(DeriveLimits(micro.pack().cell(i).params()));
-  }
-  return limits;
-}
-
-RuntimeConfig MakeCrashRuntimeConfig() {
-  RuntimeConfig config;
-  config.reintegration_horizon = Minutes(10.0);
-  return config;
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 Duration TimeOfDay(Duration now) {
   return Seconds(std::fmod(now.value(), Hours(24.0).value()));
 }
-
-// The complete rig a crash schedule plays against. "Process death" destroys
-// a CrashRig; warm restart constructs a fresh one from the same config and
-// seeds, then restores every component from the snapshot. Heap-held by the
-// harness: components point at each other, so the rig never moves.
-class CrashRig {
- public:
-  CrashRig(uint64_t seed, const FaultPlan& faults)
-      : micro(MakeDefaultMicrocontroller(MakeCrashCells(), kCrashMicroSalt ^ seed)),
-        safety(MakeCrashLimits(micro), CrashRecovery()),
-        server(&micro),
-        client([this](const std::vector<uint8_t>& bytes) { return server.Receive(bytes); }),
-        runtime(&micro, MakeCrashRuntimeConfig()) {
-    micro.AttachSafety(&safety);
-    // Install before attaching the injector to the link, mirroring the fault
-    // soak: one injector lives for the whole run (SimConfig.faults stays
-    // empty, so a warm restart never re-installs a fresh plan over the
-    // restored injector clock/RNG).
-    if (!faults.events.empty()) {
-      micro.InstallFaults(faults);
-    }
-    client.AttachFaultInjector(micro.fault_injector());
-    runtime.AttachLink(&client);
-    // A deterministic learned schedule (pure function of the seed) so the
-    // predictor hands out real hints whose countdown state rides through
-    // checkpoints: three observed days with one recurring high-power hour.
-    const int high_hour = static_cast<int>(seed % 24);
-    for (int day = 0; day < 3; ++day) {
-      std::vector<Power> hours(24, Watts(0.3));
-      hours[static_cast<size_t>(high_hour)] = Watts(8.0);
-      predictor.ObserveDay(hours);
-    }
-  }
-
-  CrashRig(const CrashRig&) = delete;
-  CrashRig& operator=(const CrashRig&) = delete;
-
-  SdbMicrocontroller micro;
-  SafetySupervisor safety;
-  CommandLinkServer server;
-  CommandLinkClient client;
-  SdbRuntime runtime;
-  UserSchedulePredictor predictor;
-  WorkloadClassifier classifier;
-};
 
 // kSectionPredictor payload.
 std::vector<uint8_t> EncodePredictorState(const PredictorState& state) {
@@ -190,13 +86,53 @@ StatusOr<std::vector<double>> DecodeClassifierState(
   return samples;
 }
 
+// The os-layer components ride on top of the shared rig: they die with the
+// process like the rest of it, and checkpoint as two extra sections.
+class CrashRig : public RecoveryRig {
+ public:
+  CrashRig(uint64_t seed, const FaultPlan& faults)
+      : RecoveryRig(TabletRigCells(), kCrashMicroSalt ^ seed, faults, HarnessRuntimeConfig()) {
+    // A deterministic learned schedule (pure function of the seed) so the
+    // predictor hands out real hints whose countdown state rides through
+    // checkpoints: three observed days with one recurring high-power hour.
+    const int high_hour = static_cast<int>(seed % 24);
+    for (int day = 0; day < 3; ++day) {
+      std::vector<Power> hours(24, Watts(0.3));
+      hours[static_cast<size_t>(high_hour)] = Watts(8.0);
+      predictor.ObserveDay(hours);
+    }
+  }
+
+  UserSchedulePredictor predictor;
+  WorkloadClassifier classifier;
+
+ protected:
+  void SaveExtraSections(checkpoint::Snapshot& snap) const override {
+    snap.AddSection(checkpoint::kSectionPredictor, EncodePredictorState(predictor.SaveState()));
+    snap.AddSection(checkpoint::kSectionClassifier, EncodeClassifierState(classifier.SaveState()));
+  }
+
+  Status RestoreExtraSections(const checkpoint::Snapshot& snap) override {
+    const checkpoint::Section* pred_s = snap.FindSection(checkpoint::kSectionPredictor);
+    const checkpoint::Section* class_s = snap.FindSection(checkpoint::kSectionClassifier);
+    if (pred_s == nullptr) return MissingSection("predictor");
+    if (class_s == nullptr) return MissingSection("classifier");
+    StatusOr<PredictorState> pred_state = DecodePredictorState(pred_s->bytes);
+    SDB_RETURN_IF_ERROR(pred_state.status());
+    StatusOr<std::vector<double>> class_state = DecodeClassifierState(class_s->bytes);
+    SDB_RETURN_IF_ERROR(class_state.status());
+    SDB_RETURN_IF_ERROR(predictor.RestoreState(*pred_state));
+    return classifier.RestoreState(*class_state);
+  }
+};
+
 // Digest of everything that shapes the rig and the run: a snapshot from a
 // different seed, horizon or cadence must be rejected at load, not warmly
 // restored into the wrong simulation.
 uint64_t ConfigDigest(const CrashConfig& config, uint64_t seed) {
   uint64_t h = MixU64(0, 0x5DBC0F16D16E57ULL);
   h = MixU64(h, seed);
-  h = MixU64(h, static_cast<uint64_t>(kCrashBatteries));
+  h = MixU64(h, static_cast<uint64_t>(kTabletRigBatteries));
   h = MixDouble(h, config.horizon.value());
   h = MixDouble(h, config.tick.value());
   h = MixDouble(h, config.runtime_period.value());
@@ -206,113 +142,22 @@ uint64_t ConfigDigest(const CrashConfig& config, uint64_t seed) {
   return h;
 }
 
-// Assembles the full-rig snapshot: every section the warm restart needs.
-checkpoint::Snapshot SnapshotRig(const CrashRig& rig, const SimLoopState& state) {
-  checkpoint::Snapshot snap;
-  snap.AddSection(checkpoint::kSectionMicro,
-                  checkpoint::EncodeMicroState(rig.micro.SaveState()));
-  snap.AddSection(checkpoint::kSectionSafety,
-                  checkpoint::EncodeSupervisorState(rig.safety.SaveState()));
-  snap.AddSection(checkpoint::kSectionLink,
-                  checkpoint::EncodeLinkState(
-                      {rig.client.SaveState(), rig.server.SaveState()}));
-  snap.AddSection(checkpoint::kSectionRuntime,
-                  checkpoint::EncodeRuntimeState(rig.runtime.SaveState()));
-  snap.AddSection(checkpoint::kSectionPredictor,
-                  EncodePredictorState(rig.predictor.SaveState()));
-  snap.AddSection(checkpoint::kSectionClassifier,
-                  EncodeClassifierState(rig.classifier.SaveState()));
-  snap.AddSection(checkpoint::kSectionSimLoop, EncodeSimLoopState(state));
-  return snap;
-}
-
-Status MissingSection(const char* name) {
-  return InvalidArgumentError(std::string("checkpoint: snapshot is missing the ") +
-                              name + " section");
-}
-
-// Restores every component of a freshly-built rig from the snapshot, runs
-// the boot-count resync handshake and hands back the loop resume point.
-// Decodes everything before mutating anything, so a damaged snapshot that
-// slipped past the CRC (it cannot, but defense in depth) leaves the rig in
-// its freshly-built state.
-Status RestoreRig(CrashRig& rig, const checkpoint::Snapshot& snap,
-                  RestoreReport* resync_report, SimLoopState* loop) {
-  const checkpoint::Section* micro_s = snap.FindSection(checkpoint::kSectionMicro);
-  const checkpoint::Section* safety_s = snap.FindSection(checkpoint::kSectionSafety);
-  const checkpoint::Section* link_s = snap.FindSection(checkpoint::kSectionLink);
-  const checkpoint::Section* runtime_s = snap.FindSection(checkpoint::kSectionRuntime);
-  const checkpoint::Section* pred_s = snap.FindSection(checkpoint::kSectionPredictor);
-  const checkpoint::Section* class_s = snap.FindSection(checkpoint::kSectionClassifier);
-  const checkpoint::Section* loop_s = snap.FindSection(checkpoint::kSectionSimLoop);
-  if (micro_s == nullptr) return MissingSection("microcontroller");
-  if (safety_s == nullptr) return MissingSection("safety");
-  if (link_s == nullptr) return MissingSection("link");
-  if (runtime_s == nullptr) return MissingSection("runtime");
-  if (pred_s == nullptr) return MissingSection("predictor");
-  if (class_s == nullptr) return MissingSection("classifier");
-  if (loop_s == nullptr) return MissingSection("sim-loop");
-
-  StatusOr<MicroState> micro_state = checkpoint::DecodeMicroState(micro_s->bytes);
-  SDB_RETURN_IF_ERROR(micro_state.status());
-  StatusOr<SafetySupervisor::SupervisorState> safety_state =
-      checkpoint::DecodeSupervisorState(safety_s->bytes);
-  SDB_RETURN_IF_ERROR(safety_state.status());
-  StatusOr<checkpoint::LinkState> link_state =
-      checkpoint::DecodeLinkState(link_s->bytes);
-  SDB_RETURN_IF_ERROR(link_state.status());
-  StatusOr<RuntimeState> runtime_state =
-      checkpoint::DecodeRuntimeState(runtime_s->bytes);
-  SDB_RETURN_IF_ERROR(runtime_state.status());
-  StatusOr<PredictorState> pred_state = DecodePredictorState(pred_s->bytes);
-  SDB_RETURN_IF_ERROR(pred_state.status());
-  StatusOr<std::vector<double>> class_state = DecodeClassifierState(class_s->bytes);
-  SDB_RETURN_IF_ERROR(class_state.status());
-  StatusOr<SimLoopState> loop_state = DecodeSimLoopState(loop_s->bytes);
-  SDB_RETURN_IF_ERROR(loop_state.status());
-
-  // Hardware first: the emulated controller just power-cycled, so after its
-  // state is back it must demand the boot-count handshake the runtime's
-  // RestoreAndResync completes below.
-  SDB_RETURN_IF_ERROR(rig.micro.RestoreState(*micro_state));
-  rig.micro.RequireResync();
-  SDB_RETURN_IF_ERROR(rig.safety.RestoreState(*safety_state));
-  rig.server.RestoreState(link_state->server);
-  rig.client.RestoreState(link_state->client);
-  SDB_RETURN_IF_ERROR(rig.predictor.RestoreState(*pred_state));
-  SDB_RETURN_IF_ERROR(rig.classifier.RestoreState(*class_state));
-  StatusOr<RestoreReport> resync = rig.runtime.RestoreAndResync(*runtime_state);
-  SDB_RETURN_IF_ERROR(resync.status());
-  *resync_report = *resync;
-  *loop = std::move(*loop_state);
-  return Status::Ok();
-}
-
 CrashScheduleReport RunOneCrashSchedule(const CrashConfig& config, uint64_t seed) {
-  // Hermetic: never emit into a journal installed by the caller, so an
-  // outer process journal cannot depend on work distribution.
-  obs::JournalScope silence(nullptr);
   CrashScheduleReport report;
   report.seed = seed;
   FaultPlan faults =
-      MakeRandomFaultPlan(seed, kCrashBatteries, config.horizon, config.max_faults);
+      MakeRandomFaultPlan(seed, kTabletRigBatteries, config.horizon, config.max_faults);
   CrashPlan crashes = MakeRandomCrashPlan(seed, config.horizon, config.max_crashes);
   report.planned_crashes = static_cast<int>(crashes.events.size());
 
-  auto add_violation = [&](const char* check, std::string detail) {
-    SDB_JOURNAL_EVENT(obs::EventKind::kOracleVerdict, -1.0, -1, check, detail);
-    if (report.violations.size() >= kMaxViolationsPerSchedule) {
-      return;
-    }
-    report.violations.push_back(CrashViolation{seed, check, std::move(detail)});
-  };
-
   const PowerTrace load = PowerTrace::Constant(config.load, config.horizon);
-
-  // Shared by baseline and crashing runs so both timelines do identical
-  // work: feed the classifier every tick, refresh the predictor's workload
-  // hint at every replan boundary.
-  auto make_sim_config = [&config](CrashRig* rig) {
+  const PowerTrace no_supply;
+  WarmRestartRun run;
+  run.boot = [seed, &faults] { return MakeCrashRig(seed, faults); };
+  // Every life feeds the classifier each tick and refreshes the predictor's
+  // workload hint at each replan boundary.
+  run.sim_config = [&config](RecoveryRig& base, const SimLoopState*) {
+    CrashRig* rig = static_cast<CrashRig*>(&base);
     SimConfig sim;
     sim.tick = config.tick;
     sim.runtime_period = config.runtime_period;
@@ -320,152 +165,72 @@ CrashScheduleReport RunOneCrashSchedule(const CrashConfig& config, uint64_t seed
     sim.on_tick = [rig](const MicroTick& tick, Duration) {
       rig->classifier.Observe(Watts(tick.discharge.delivered.value()));
     };
-    return sim;
-  };
-  auto os_clues = [](CrashRig* rig, CrashBarrier barrier, Duration now) {
-    if (barrier == CrashBarrier::kPreAllocate) {
-      rig->runtime.SetWorkloadHint(rig->predictor.PredictNext(TimeOfDay(now)));
-    }
-  };
-
-  // The never-crashed twin: same rig, same fault plan, no checkpointing.
-  // Saving state is const, so its absence cannot perturb the baseline.
-  std::vector<double> baseline_classifier;
-  SimResult baseline;
-  {
-    auto rig = std::make_unique<CrashRig>(seed, faults);
-    SimConfig sim_config = make_sim_config(rig.get());
-    CrashRig* rig_ptr = rig.get();
-    sim_config.on_barrier = [rig_ptr, &os_clues](CrashBarrier barrier, Duration now) {
-      os_clues(rig_ptr, barrier, now);
+    sim.on_barrier = [rig](CrashBarrier barrier, Duration now) {
+      if (barrier == CrashBarrier::kPreAllocate) {
+        rig->runtime.SetWorkloadHint(rig->predictor.PredictNext(TimeOfDay(now)));
+      }
       return true;
     };
-    Simulator sim(&rig->runtime, sim_config);
-    baseline = sim.Run(load);
-    baseline_classifier = rig->classifier.SaveState();
-  }
+    return sim;
+  };
+  run.load = &load;
+  run.supply = &no_supply;
+  auto classifier_window = [](const WarmRestartOutcome& out) {
+    return static_cast<const CrashRig&>(*out.rig).classifier.SaveState();
+  };
+
+  // The never-crashed twin: the same driver with no crash events and no
+  // checkpointing. Saving state is const, so its absence cannot perturb it.
+  ViolationSink sink;
+  const WarmRestartOutcome baseline = RunWithWarmRestarts(run, &sink);
 
   // The crashing run records into a per-schedule journal; each schedule runs
   // start-to-finish on one worker, so the captured sequence is jobs-invariant.
   obs::EventJournal journal;
   obs::JournalScope journal_scope(&journal);
-
-  // The slot device survives every simulated process death; the rig and the
-  // store (in-memory program state) do not.
-  checkpoint::MemorySlotDevice device;
-  const uint64_t digest = ConfigDigest(config, seed);
-  size_t crash_index = 0;
-  auto rig = std::make_unique<CrashRig>(seed, faults);
-  auto store = std::make_unique<checkpoint::CheckpointStore>(&device, digest);
-  bool cold_boot = true;
-  SimLoopState resume_state;
-  SimResult result;
-  std::vector<double> final_classifier;
-  for (;;) {
-    SimConfig sim_config = make_sim_config(rig.get());
-    sim_config.checkpoint_period = config.checkpoint_period;
-    CrashRig* rig_ptr = rig.get();
-    checkpoint::CheckpointStore* store_ptr = store.get();
-    sim_config.on_barrier = [&, rig_ptr](CrashBarrier barrier, Duration now) {
-      os_clues(rig_ptr, barrier, now);
-      if (crash_index < crashes.events.size()) {
-        const CrashEvent& next = crashes.events[crash_index];
-        if (next.barrier == barrier && now.value() >= next.time.value()) {
-          ++crash_index;
-          SDB_JOURNAL_EVENT(obs::EventKind::kSimEvent, now.value(), -1,
-                            "crash-injected", std::string(CrashBarrierName(barrier)));
-          return false;
-        }
-      }
-      return true;
-    };
-    sim_config.on_checkpoint = [&, rig_ptr, store_ptr](const SimLoopState& state) {
-      bool die = false;
-      if (crash_index < crashes.events.size()) {
-        const CrashEvent& next = crashes.events[crash_index];
-        if (next.barrier == CrashBarrier::kMidCheckpointWrite &&
-            state.t.value() >= next.time.value()) {
-          die = true;
-          if (next.torn != TornWriteKind::kNone) {
-            const TornWriteKind torn = next.torn;
-            const uint64_t torn_seed = seed ^ kTornWriteSalt ^ crash_index;
-            store_ptr->SetWriteMutatorOnce([torn, torn_seed](std::vector<uint8_t>& bytes) {
-              ApplyTornWrite(torn, torn_seed, bytes);
-            });
-            ++report.torn_writes;
-          }
-          ++crash_index;
-          SDB_JOURNAL_EVENT(obs::EventKind::kSimEvent, state.t.value(), -1,
-                            "crash-injected",
-                            std::string(CrashBarrierName(CrashBarrier::kMidCheckpointWrite)) +
-                                (next.torn != TornWriteKind::kNone
-                                     ? std::string(":") + std::string(TornWriteKindName(next.torn))
-                                     : std::string()));
-        }
-      }
-      Status saved = store_ptr->Save(SnapshotRig(*rig_ptr, state), state.t);
-      if (!saved.ok()) {
-        add_violation("save", saved.ToString());
-      }
-      return !die;
-    };
-    Simulator sim(&rig->runtime, sim_config);
-    result = cold_boot ? sim.Run(load) : sim.Resume(resume_state, load);
-    if (!result.crashed) {
-      final_classifier = rig->classifier.SaveState();
-      break;
-    }
-    ++report.crashes_fired;
-
-    // Process death: rig and store die with the process; only the slot
-    // device (the "disk") survives into the next boot.
-    rig = std::make_unique<CrashRig>(seed, faults);
-    store = std::make_unique<checkpoint::CheckpointStore>(&device, digest);
-    StatusOr<checkpoint::LoadResult> loaded = store->LoadLastGood();
-    if (!loaded.ok()) {
-      // No restorable snapshot (the only writes so far were torn): cold
-      // start from scratch. Determinism makes the re-run bit-identical to
-      // the original timeline, so the oracle still holds.
-      ++report.cold_restarts;
-      SDB_JOURNAL_EVENT(obs::EventKind::kCheckpointRestore, -1.0, -1, "cold-start",
-                        loaded.status().ToString());
-      cold_boot = true;
-      continue;
-    }
-    report.corrupt_slots += loaded->corrupt_slots;
-    if (loaded->fell_back) {
-      ++report.slot_fallbacks;
-    }
-    RestoreReport resync;
-    Status restored = RestoreRig(*rig, loaded->snapshot, &resync, &resume_state);
-    if (!restored.ok()) {
-      add_violation("restore", restored.ToString());
-      break;
-    }
-    ++report.warm_restarts;
-    report.drift_fields += resync.drift_fields;
-    report.resynced = report.resynced || resync.resynced;
-    store->AdoptLoaded(*loaded);
-    cold_boot = false;
+  const Duration no_time = Seconds(-1.0);
+  run.crashes = crashes.events;
+  run.checkpoint_period = config.checkpoint_period;
+  run.config_digest = ConfigDigest(config, seed);
+  run.torn_seed = seed ^ kTornWriteSalt;
+  WarmRestartOutcome out = RunWithWarmRestarts(run, &sink);
+  if (!out.restore.ok()) {
+    sink.Add(no_time, "restore", out.restore.ToString());
   }
+  report.crashes_fired = out.crashes_fired;
+  report.warm_restarts = out.warm_restarts;
+  report.cold_restarts = out.cold_restarts;
+  report.torn_writes = out.torn_writes;
+  report.corrupt_slots = out.corrupt_slots;
+  report.slot_fallbacks = out.slot_fallbacks;
+  report.drift_fields = out.drift_fields;
+  report.resynced = out.resynced;
+  const SimResult& result = out.result;
+  // A run stopped by a failed restore has no final classifier window.
+  const std::vector<double> final_classifier =
+      result.crashed ? std::vector<double>() : classifier_window(out);
 
   report.completed =
       result.elapsed.value() >= config.horizon.value() - config.tick.value();
   if (!report.completed) {
-    add_violation("incomplete",
-                  "final run stopped at " + std::to_string(result.elapsed.value()) + " s");
+    sink.Add(no_time, "incomplete",
+             "final run stopped at " + std::to_string(result.elapsed.value()) + " s");
   }
-  std::string divergence = DescribeSimResultDivergence(baseline, result);
+  std::string divergence = DescribeSimResultDivergence(baseline.result, result);
   report.identical = divergence.empty();
   if (!report.identical) {
-    add_violation("result-divergence", divergence);
+    sink.Add(no_time, "result-divergence", divergence);
   }
-  if (final_classifier != baseline_classifier) {
-    add_violation("classifier-divergence",
-                  "restored classifier window differs from baseline (" +
-                      std::to_string(final_classifier.size()) + " vs " +
-                      std::to_string(baseline_classifier.size()) + " samples)");
+  if (final_classifier != classifier_window(baseline)) {
+    sink.Add(no_time, "classifier-divergence",
+             "restored classifier window differs from baseline (" +
+                 std::to_string(final_classifier.size()) + " vs " +
+                 std::to_string(classifier_window(baseline).size()) + " samples)");
   }
+  for (const Breach& breach : sink.kept()) {
+    report.violations.push_back(CrashViolation{seed, breach.tag, breach.detail});
+  }
+  report.violations_dropped = sink.dropped();
   report.journal = journal.Snapshot();
 
   uint64_t h = MixU64(0, seed);
@@ -498,6 +263,10 @@ CrashScheduleReport RunOneCrashSchedule(const CrashConfig& config, uint64_t seed
 }
 
 }  // namespace
+
+std::unique_ptr<RecoveryRig> MakeCrashRig(uint64_t seed, const FaultPlan& faults) {
+  return std::make_unique<CrashRig>(seed, faults);
+}
 
 void ApplyTornWrite(TornWriteKind kind, uint64_t seed, std::vector<uint8_t>& bytes) {
   if (bytes.empty()) {
@@ -580,27 +349,14 @@ CrashReport RunCrashSoak(const CrashConfig& config) {
   SDB_CHECK(config.checkpoint_period.value() > 0.0);
   CrashReport report;
   report.schedules.resize(static_cast<size_t>(config.schedules));
-
-  // Index-slot determinism: schedule k writes only slot k and depends on
-  // (config, base_seed + k) alone, so any worker count produces the same bytes.
-  std::optional<ThreadPool> pool;
-  if (config.jobs != 1) {
-    pool.emplace(config.jobs);
-  }
-  std::vector<CrashScheduleReport>& slots = report.schedules;
-  const CrashConfig& cfg = config;
-  ParallelFor(pool.has_value() ? &*pool : nullptr, config.schedules,
-              [&slots, &cfg](int64_t index) {
-                slots[static_cast<size_t>(index)] = RunOneCrashSchedule(
-                    cfg, cfg.base_seed + static_cast<uint64_t>(index));
-              });
-
-  uint64_t h = 0;
+  RunSeededSweep(config.schedules, config.jobs, [&report, &config](int64_t index) {
+    report.schedules[static_cast<size_t>(index)] =
+        RunOneCrashSchedule(config, config.base_seed + static_cast<uint64_t>(index));
+  });
   for (const CrashScheduleReport& schedule : report.schedules) {
-    report.total_violations += schedule.violations.size();
-    h = MixU64(h, schedule.fingerprint);
+    report.total_violations += schedule.violations.size() + schedule.violations_dropped;
   }
-  report.fingerprint = h;
+  report.fingerprint = MergeFingerprints(report.schedules);
   return report;
 }
 

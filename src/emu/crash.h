@@ -19,11 +19,13 @@
 #define SRC_EMU_CRASH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/emu/simulator.h"
+#include "src/hw/fault.h"
 #include "src/obs/event.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
@@ -97,7 +99,8 @@ struct CrashScheduleReport {
   bool resynced = false;     // At least one boot-count handshake completed.
   bool completed = false;    // The final run covered the full horizon.
   bool identical = false;    // Final SimResult bit-identical to baseline.
-  std::vector<CrashViolation> violations;
+  std::vector<CrashViolation> violations;  // Bounded; see violations_dropped.
+  uint64_t violations_dropped = 0;
   uint64_t fingerprint = 0;  // Bit-exact digest of this schedule's result.
   // Flight-recorder journal of the crashing run (checkpoint saves,
   // corruption detections, restores, resyncs, ...). Deterministic per seed;
@@ -141,6 +144,13 @@ StatusOr<std::vector<CorpusCaseResult>> ValidateTornCorpus(
     const std::string& corpus_dir);
 
 // --- Exposed for tests and the fuzzer ---------------------------------------
+
+class RecoveryRig;
+
+// The rig crash schedule `seed` plays against: the shared recovery rig on
+// the tablet pack, plus a seed-keyed user-schedule predictor and a workload
+// classifier whose sections ride between runtime and sim-loop.
+std::unique_ptr<RecoveryRig> MakeCrashRig(uint64_t seed, const FaultPlan& faults);
 
 // Applies `kind`'s damage to an encoded snapshot image, deterministically
 // per (kind, seed). Shared by the crash soak and the scenario fuzzer's

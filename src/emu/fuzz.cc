@@ -4,30 +4,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "src/core/checkpoint/rig_codec.h"
-#include "src/core/checkpoint/snapshot.h"
-#include "src/core/checkpoint/store.h"
 #include "src/core/runtime.h"
+#include "src/emu/harness.h"
 #include "src/emu/simulator.h"
 #include "src/emu/soak.h"
-#include "src/hw/command_link.h"
 #include "src/hw/microcontroller.h"
-#include "src/hw/safety.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace sdb {
 
 namespace {
 
-constexpr size_t kMaxViolationsPerCase = 16;
 constexpr uint64_t kSampleSalt = 0xF022BAD5EEDULL;
 constexpr uint64_t kFaultSalt = 0xFA17F1A6ULL;
 constexpr uint64_t kRigSalt = 0x2165EEDULL;
@@ -38,11 +30,6 @@ constexpr uint64_t kCrashSalt = 0xC2A54D175EEDULL;
 constexpr uint64_t kFlipSalt = 0xF11BD1CE5EEDULL;
 constexpr uint64_t kChargeFaultSalt = 0xC4A26EFA5EEDULL;
 constexpr uint64_t kFuzzTornSalt = 0xF0221025EEDULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 
 uint64_t HashString(const std::string& s) {
   // FNV-1a; folded into the fingerprint via MixU64.
@@ -86,58 +73,22 @@ std::vector<std::string> SplitOn(const std::string& text, char sep) {
   return parts;
 }
 
-const FaultClass kAllFaultClasses[] = {
-    FaultClass::kLinkTimeout,       FaultClass::kLinkCorruptReply,
-    FaultClass::kGaugeBias,         FaultClass::kGaugeNoise,
-    FaultClass::kGaugeStuck,        FaultClass::kRegulatorCollapse,
-    FaultClass::kOpenCircuit,       FaultClass::kThermalTrip,
-    FaultClass::kMicroCrash,        FaultClass::kMicroBrownout,
-};
-
-bool ParseFaultClass(const std::string& name, FaultClass* out) {
-  for (FaultClass kind : kAllFaultClasses) {
-    if (FaultClassName(kind) == name) {
-      *out = kind;
+// Finds the member of `all` whose printed name is `name`.
+template <typename Enum, size_t N, typename NameFn>
+bool ParseName(const std::string& name, const Enum (&all)[N], NameFn name_of, Enum* out) {
+  for (Enum value : all) {
+    if (name_of(value) == name) {
+      *out = value;
       return true;
     }
   }
   return false;
 }
 
-bool ParseCrashBarrier(const std::string& name, CrashBarrier* out) {
-  for (CrashBarrier barrier :
-       {CrashBarrier::kPreAllocate, CrashBarrier::kPostAllocate,
-        CrashBarrier::kMidCheckpointWrite}) {
-    if (CrashBarrierName(barrier) == name) {
-      *out = barrier;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseTornWriteKind(const std::string& name, TornWriteKind* out) {
-  for (TornWriteKind kind : {TornWriteKind::kNone, TornWriteKind::kTruncate,
-                             TornWriteKind::kZeroRange, TornWriteKind::kBitFlip}) {
-    if (TornWriteKindName(kind) == name) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-// The fuzz rig's recovery doctrine matches the soak harness: recovery on,
-// dwells short enough to complete inside a capped horizon.
-RecoveryConfig FuzzRecovery() {
-  RecoveryConfig recovery;
-  recovery.enabled = true;
-  recovery.base_dwell = Minutes(3.0);
-  recovery.dwell_backoff = 2.0;
-  recovery.max_dwell = Minutes(12.0);
-  recovery.probe_duration = Minutes(2.0);
-  return recovery;
-}
+constexpr CrashBarrier kAllCrashBarriers[] = {
+    CrashBarrier::kPreAllocate, CrashBarrier::kPostAllocate, CrashBarrier::kMidCheckpointWrite};
+constexpr TornWriteKind kAllTornWriteKinds[] = {TornWriteKind::kNone, TornWriteKind::kTruncate,
+                                                TornWriteKind::kZeroRange, TornWriteKind::kBitFlip};
 
 SimConfig CappedSimConfig(const ScenarioSpec& spec, const FuzzConfig& config) {
   SimConfig sim = spec.sim;
@@ -162,59 +113,20 @@ Duration PolicyLifetime(const ScenarioSpec& spec, DirectiveParameters directives
   return result.first_shortfall.value_or(result.elapsed);
 }
 
-std::vector<SafetyLimits> FuzzLimits(const SdbMicrocontroller& micro) {
-  std::vector<SafetyLimits> limits;
-  for (size_t i = 0; i < micro.battery_count(); ++i) {
-    limits.push_back(DeriveLimits(micro.pack().cell(i).params()));
-  }
-  return limits;
-}
-
-RuntimeConfig FuzzRuntimeConfig(const FuzzCase& fuzz_case) {
-  RuntimeConfig config;
+// The full rig a fuzz case plays against; the crash-equivalence oracle
+// rebuilds it across simulated process deaths.
+std::unique_ptr<RecoveryRig> MakeFuzzRig(const ScenarioSpec& spec, const FuzzCase& fuzz_case) {
+  RuntimeConfig config = HarnessRuntimeConfig();
   config.directives = fuzz_case.directives;
-  config.reintegration_horizon = Minutes(10.0);
-  return config;
+  return std::make_unique<RecoveryRig>(BuildScenarioCells(spec), spec.seed ^ kRigSalt,
+                                       fuzz_case.faults, config);
 }
-
-// The full rig a fuzz case plays against: microcontroller + supervisor +
-// command link + runtime, faults installed before the injector attaches to
-// the link. Heap-held by the crash-equivalence oracle, which rebuilds it
-// across simulated process deaths — components point at each other, so a
-// rig never moves.
-struct FuzzRig {
-  FuzzRig(const ScenarioSpec& spec, const FuzzCase& fuzz_case)
-      : micro(MakeDefaultMicrocontroller(BuildScenarioCells(spec),
-                                         spec.seed ^ kRigSalt)),
-        safety(FuzzLimits(micro), FuzzRecovery()),
-        server(&micro),
-        client([this](const std::vector<uint8_t>& bytes) {
-          return server.Receive(bytes);
-        }),
-        runtime(&micro, FuzzRuntimeConfig(fuzz_case)) {
-    micro.AttachSafety(&safety);
-    if (!fuzz_case.faults.empty()) {
-      micro.InstallFaults(fuzz_case.faults);
-    }
-    client.AttachFaultInjector(micro.fault_injector());
-    runtime.AttachLink(&client);
-  }
-
-  FuzzRig(const FuzzRig&) = delete;
-  FuzzRig& operator=(const FuzzRig&) = delete;
-
-  SdbMicrocontroller micro;
-  SafetySupervisor safety;
-  CommandLinkServer server;
-  CommandLinkClient client;
-  SdbRuntime runtime;
-};
 
 // Applies every directive flip whose time has passed. Called from on_tick
 // by the main run and its crash twin alike, so both play the same policy
 // timeline; after a warm restart the cursor is re-derived from the resume
 // clock (the flips' effect itself rides in the restored RuntimeState).
-void ApplyDueFlips(const FuzzCase& fuzz_case, FuzzRig& rig, Duration now,
+void ApplyDueFlips(const FuzzCase& fuzz_case, RecoveryRig& rig, Duration now,
                    size_t* cursor) {
   while (*cursor < fuzz_case.flips.size() &&
          fuzz_case.flips[*cursor].time.value() <= now.value()) {
@@ -225,70 +137,6 @@ void ApplyDueFlips(const FuzzCase& fuzz_case, FuzzRig& rig, Duration now,
     rig.runtime.SetDirectives(directives);
     ++(*cursor);
   }
-}
-
-// The crash twin checkpoints the core rig sections plus the driver-loop
-// state; the os-layer sections the crash soak carries (predictor,
-// classifier) have no counterpart in the fuzz rig.
-checkpoint::Snapshot SnapshotFuzzRig(const FuzzRig& rig, const SimLoopState& state) {
-  checkpoint::Snapshot snap;
-  snap.AddSection(checkpoint::kSectionMicro,
-                  checkpoint::EncodeMicroState(rig.micro.SaveState()));
-  snap.AddSection(checkpoint::kSectionSafety,
-                  checkpoint::EncodeSupervisorState(rig.safety.SaveState()));
-  snap.AddSection(checkpoint::kSectionLink,
-                  checkpoint::EncodeLinkState(
-                      {rig.client.SaveState(), rig.server.SaveState()}));
-  snap.AddSection(checkpoint::kSectionRuntime,
-                  checkpoint::EncodeRuntimeState(rig.runtime.SaveState()));
-  snap.AddSection(checkpoint::kSectionSimLoop, EncodeSimLoopState(state));
-  return snap;
-}
-
-Status MissingFuzzSection(const char* name) {
-  return InvalidArgumentError(std::string("checkpoint: snapshot is missing the ") +
-                              name + " section");
-}
-
-// Restores every component of a freshly-built rig from the snapshot and
-// completes the boot-count resync handshake. Decodes everything before
-// mutating anything, hardware first (mirrors the crash soak's RestoreRig).
-Status RestoreFuzzRig(FuzzRig& rig, const checkpoint::Snapshot& snap,
-                      SimLoopState* loop) {
-  const checkpoint::Section* micro_s = snap.FindSection(checkpoint::kSectionMicro);
-  const checkpoint::Section* safety_s = snap.FindSection(checkpoint::kSectionSafety);
-  const checkpoint::Section* link_s = snap.FindSection(checkpoint::kSectionLink);
-  const checkpoint::Section* runtime_s = snap.FindSection(checkpoint::kSectionRuntime);
-  const checkpoint::Section* loop_s = snap.FindSection(checkpoint::kSectionSimLoop);
-  if (micro_s == nullptr) return MissingFuzzSection("microcontroller");
-  if (safety_s == nullptr) return MissingFuzzSection("safety");
-  if (link_s == nullptr) return MissingFuzzSection("link");
-  if (runtime_s == nullptr) return MissingFuzzSection("runtime");
-  if (loop_s == nullptr) return MissingFuzzSection("sim-loop");
-
-  StatusOr<MicroState> micro_state = checkpoint::DecodeMicroState(micro_s->bytes);
-  SDB_RETURN_IF_ERROR(micro_state.status());
-  StatusOr<SafetySupervisor::SupervisorState> safety_state =
-      checkpoint::DecodeSupervisorState(safety_s->bytes);
-  SDB_RETURN_IF_ERROR(safety_state.status());
-  StatusOr<checkpoint::LinkState> link_state =
-      checkpoint::DecodeLinkState(link_s->bytes);
-  SDB_RETURN_IF_ERROR(link_state.status());
-  StatusOr<RuntimeState> runtime_state =
-      checkpoint::DecodeRuntimeState(runtime_s->bytes);
-  SDB_RETURN_IF_ERROR(runtime_state.status());
-  StatusOr<SimLoopState> loop_state = DecodeSimLoopState(loop_s->bytes);
-  SDB_RETURN_IF_ERROR(loop_state.status());
-
-  SDB_RETURN_IF_ERROR(rig.micro.RestoreState(*micro_state));
-  rig.micro.RequireResync();
-  SDB_RETURN_IF_ERROR(rig.safety.RestoreState(*safety_state));
-  rig.server.RestoreState(link_state->server);
-  rig.client.RestoreState(link_state->client);
-  StatusOr<RestoreReport> resync = rig.runtime.RestoreAndResync(*runtime_state);
-  SDB_RETURN_IF_ERROR(resync.status());
-  *loop = std::move(*loop_state);
-  return Status::Ok();
 }
 
 }  // namespace
@@ -373,7 +221,7 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
       double start = 0.0;
       double end = 0.0;
       double battery = 0.0;
-      if (!ParseFaultClass(parts[0], &event.kind)) {
+      if (!ParseName(parts[0], kAllFaultClasses, FaultClassName, &event.kind)) {
         return InvalidArgumentError("unknown fault kind '" + parts[0] + "'");
       }
       if (!ParseDouble(parts[1], &start) || !ParseDouble(parts[2], &end) ||
@@ -394,10 +242,10 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
       }
       CrashEvent event;
       double time = 0.0;
-      if (!ParseCrashBarrier(parts[0], &event.barrier)) {
+      if (!ParseName(parts[0], kAllCrashBarriers, CrashBarrierName, &event.barrier)) {
         return InvalidArgumentError("unknown crash barrier '" + parts[0] + "'");
       }
-      if (!ParseTornWriteKind(parts[1], &event.torn)) {
+      if (!ParseName(parts[1], kAllTornWriteKinds, TornWriteKindName, &event.torn)) {
         return InvalidArgumentError("unknown torn-write kind '" + parts[1] + "'");
       }
       if (!ParseDouble(parts[2], &time)) {
@@ -489,12 +337,13 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
   }
   fuzz_case.directives.discharging = rng.Uniform(0.05, 0.95);
   fuzz_case.directives.charging = rng.Uniform(0.05, 0.95);
+  // Fault windows, charge spans and horizons need the expanded spec.
+  StatusOr<ScenarioSpec> spec =
+      ExpandScenario(fuzz_case.pack, fuzz_case.overrides, fuzz_case.seed);
+  SDB_CHECK(spec.ok());  // Sampled overrides are in-range by construction.
+  const Duration horizon =
+      Seconds(std::min(spec->sim.max_duration.value(), config.horizon_cap.value()));
   if (rng.NextDouble() < config.fault_probability) {
-    StatusOr<ScenarioSpec> spec =
-        ExpandScenario(fuzz_case.pack, fuzz_case.overrides, fuzz_case.seed);
-    SDB_CHECK(spec.ok());  // Sampled overrides are in-range by construction.
-    const Duration horizon =
-        Seconds(std::min(spec->sim.max_duration.value(), config.horizon_cap.value()));
     fuzz_case.faults =
         MakeRandomFaultPlan(case_seed ^ kFaultSalt,
                             static_cast<int>(spec->batteries.size()), horizon,
@@ -502,13 +351,8 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
   }
 
   // The dimensions below draw from their own salted streams (see the salt
-  // block up top) and need the expanded spec for windows and horizons.
-  StatusOr<ScenarioSpec> spec =
-      ExpandScenario(fuzz_case.pack, fuzz_case.overrides, fuzz_case.seed);
-  SDB_CHECK(spec.ok());
-  const Duration horizon =
-      Seconds(std::min(spec->sim.max_duration.value(), config.horizon_cap.value()));
-
+  // block up top).
+  //
   // Charge-phase faults: when the scenario has a live supply window, aim one
   // fault drawn from the kinds that matter while charging at a supply-active
   // span, so recovery and replanning get exercised mid-charge too.
@@ -536,20 +380,7 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
           span_end, start + std::max(30.0, 0.25 * (span_end - span_start))));
       event.battery =
           static_cast<int>(charge_rng.NextBounded(spec->batteries.size()));
-      switch (event.kind) {
-        case FaultClass::kRegulatorCollapse:
-          event.magnitude = charge_rng.Uniform(0.5, 0.9);
-          break;
-        case FaultClass::kThermalTrip:
-          event.magnitude = Celsius(charge_rng.Uniform(62.0, 75.0)).value();
-          break;
-        case FaultClass::kGaugeBias:
-          event.magnitude = charge_rng.Uniform(-0.3, 0.3);
-          break;
-        default:
-          event.magnitude = 0.0;
-          break;
-      }
+      event.magnitude = SampleFaultMagnitude(event.kind, charge_rng);
       if (fuzz_case.faults.empty()) {
         fuzz_case.faults.seed = case_seed ^ kChargeFaultSalt;
       }
@@ -607,38 +438,34 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   // case's events regardless of which worker thread ran it.
   obs::EventJournal local_journal;
   obs::JournalScope journal_scope(journal != nullptr ? &local_journal : nullptr);
-  std::vector<FuzzViolation> violations;
-  uint64_t dropped = 0;
-  auto add = [&](Duration at, const char* oracle, std::string detail) {
-    if (violations.size() >= kMaxViolationsPerCase) {
-      ++dropped;
-      return;
+  ViolationSink sink;
+  auto finish = [&] {
+    std::vector<FuzzViolation> violations;
+    for (const Breach& breach : sink.kept()) {
+      violations.push_back(FuzzViolation{breach.tag, breach.detail, breach.time});
     }
-    SDB_JOURNAL_EVENT(obs::EventKind::kOracleVerdict, at.value(), -1, oracle,
-                      detail);
-    violations.push_back(FuzzViolation{oracle, std::move(detail), at});
+    if (sink.dropped() > 0) {
+      violations.back().detail += " (+" + std::to_string(sink.dropped()) + " dropped)";
+    }
+    if (journal != nullptr) {
+      *journal = local_journal.Snapshot();
+    }
+    return violations;
   };
 
   StatusOr<ScenarioSpec> expanded =
       ExpandScenario(fuzz_case.pack, fuzz_case.overrides, fuzz_case.seed);
   if (!expanded.ok()) {
-    add(Seconds(0.0), "expand", std::string(expanded.status().message()));
-    if (journal != nullptr) {
-      *journal = local_journal.Snapshot();
-    }
-    return violations;
+    sink.Add(Seconds(0.0), "expand", std::string(expanded.status().message()));
+    return finish();
   }
   const ScenarioSpec& spec = *expanded;
 
   // Main run: full rig (safety supervisor + command link + fault plan),
   // audited by the soak invariants on every hardware tick.
-  FuzzRig rig(spec, fuzz_case);
-
-  std::vector<bool> prev_faulted(rig.micro.battery_count(), false);
-  std::vector<double> prev_cycles(rig.micro.battery_count(), 0.0);
-  for (size_t i = 0; i < rig.micro.battery_count(); ++i) {
-    prev_cycles[i] = rig.micro.pack().cell(i).aging().cycle_count();
-  }
+  std::unique_ptr<RecoveryRig> main_rig = MakeFuzzRig(spec, fuzz_case);
+  RecoveryRig& rig = *main_rig;
+  TickInvariants invariants(rig, &sink);
 
   // Supply-funded energy the SimResult ledger cannot split out: the slice
   // of the supply fed straight to the load (sampled exactly as the driver
@@ -681,37 +508,11 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
         overdrive = true;
       }
     }
+    // Oracle 1: the soak harness's per-tick invariants.
+    invariants.Check(tick, now);
     for (size_t i = 0; i < rig.micro.battery_count(); ++i) {
-      const Cell& cell = rig.micro.pack().cell(i);
-      double soc = cell.soc();
-      if (!std::isfinite(soc) || soc < 0.0 || soc > 1.0) {
-        add(now, "soc-range",
-            "battery " + std::to_string(i) + " soc " + std::to_string(soc));
-      }
-      double cycles = cell.aging().cycle_count();
-      if (cycles + 1e-12 < prev_cycles[i]) {
-        add(now, "cycle-monotone",
-            "battery " + std::to_string(i) + " cycles " + std::to_string(cycles) +
-                " < " + std::to_string(prev_cycles[i]));
-      }
-      prev_cycles[i] = cycles;
-      if (prev_faulted[i]) {
-        double discharge_a = i < tick.discharge.currents.size()
-                                 ? std::fabs(tick.discharge.currents[i].value())
-                                 : 0.0;
-        double charge_a = i < tick.charge.currents.size()
-                              ? std::fabs(tick.charge.currents[i].value())
-                              : 0.0;
-        if (discharge_a > 1e-9 || charge_a > 1e-9) {
-          add(now, "faulted-current",
-              "battery " + std::to_string(i) + " carried " +
-                  std::to_string(std::max(discharge_a, charge_a)) +
-                  " A while faulted");
-        }
-      }
-      prev_faulted[i] = rig.safety.IsFaulted(i);
       uint64_t trips = rig.safety.trip_count(i);
-      if (trips > prev_trips[i] && soc > 0.15) {
+      if (trips > prev_trips[i] && rig.micro.pack().cell(i).soc() > 0.15) {
         unexpected_trips += trips - prev_trips[i];
       }
       prev_trips[i] = trips;
@@ -735,9 +536,9 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
                      charge_circuit_loss_j;
   double tolerance = std::max(2.0, std::fabs(drawn) * config.energy_tolerance_fraction);
   if (!std::isfinite(accounted) || std::fabs(drawn - accounted) > tolerance) {
-    add(result.elapsed, "ledger",
-        "drawn " + std::to_string(drawn) + " J vs accounted " +
-            std::to_string(accounted) + " J");
+    sink.Add(result.elapsed, "ledger",
+             "drawn " + std::to_string(drawn) + " J vs accounted " +
+                 std::to_string(accounted) + " J");
   }
 
   // Oracle 3: no safety trip on an in-envelope, fault-free load where no
@@ -745,11 +546,11 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   if (fuzz_case.faults.empty() && !overdrive &&
       spec.load.PeakPower().value() <= spec.envelope.value() &&
       unexpected_trips > 0) {
-    add(result.elapsed, "safety-trip",
-        std::to_string(unexpected_trips) +
-            " trip(s) on in-envelope fault-free load (peak " +
-            std::to_string(spec.load.PeakPower().value()) + " W, envelope " +
-            std::to_string(spec.envelope.value()) + " W)");
+    sink.Add(result.elapsed, "safety-trip",
+             std::to_string(unexpected_trips) +
+                 " trip(s) on in-envelope fault-free load (peak " +
+                 std::to_string(spec.load.PeakPower().value()) + " W, envelope " +
+                 std::to_string(spec.envelope.value()) + " W)");
   }
 
   // Oracle 4: the sampled policy must stay within the configured fraction
@@ -771,145 +572,58 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   if (best.value() > 0.0 &&
       sampled_lifetime.value() <
           (1.0 - config.max_lifetime_loss_fraction) * best.value()) {
-    add(result.elapsed, "policy-regression",
-        "dch=" + FormatG17(fuzz_case.directives.discharging) + " lifetime " +
-            std::to_string(sampled_lifetime.value()) + " s vs " +
-            std::to_string(best.value()) + " s at panel dch=" +
-            FormatG17(best_directive));
+    sink.Add(result.elapsed, "policy-regression",
+             "dch=" + FormatG17(fuzz_case.directives.discharging) + " lifetime " +
+                 std::to_string(sampled_lifetime.value()) + " s vs " +
+                 std::to_string(best.value()) + " s at panel dch=" +
+                 FormatG17(best_directive));
   }
 
   // Oracle 5: crash equivalence. Replay the case with checkpointing on and
-  // the scheduled deaths injected — killed at the named barriers, tearing
-  // the checkpoint write when scheduled, warm-restarted from the last good
-  // A/B slot (cold start when no slot survived). The final result must be
-  // bit-identical to the never-crashed main run above; a failed restore of
-  // a slot the store called good is a violation too.
+  // the scheduled deaths injected through the shared warm-restart driver.
+  // The final result must be bit-identical to the never-crashed main run
+  // above; a failed restore of a slot the store called good is a violation
+  // too.
   if (!fuzz_case.crashes.empty()) {
-    std::vector<CrashEvent> crashes = fuzz_case.crashes;
-    std::sort(crashes.begin(), crashes.end(),
+    WarmRestartRun twin;
+    twin.boot = [&spec, &fuzz_case] { return MakeFuzzRig(spec, fuzz_case); };
+    twin.sim_config = [&](RecoveryRig& twin_rig, const SimLoopState* resume) {
+      // Flips at or before the checkpoint were applied before the snapshot
+      // and ride in the restored RuntimeState.
+      size_t cursor = 0;
+      while (resume != nullptr && cursor < fuzz_case.flips.size() &&
+             fuzz_case.flips[cursor].time.value() <= resume->t.value()) {
+        ++cursor;
+      }
+      SimConfig twin_config = CappedSimConfig(spec, config);
+      twin_config.on_tick = [&fuzz_case, &twin_rig, cursor](const MicroTick&,
+                                                            Duration now) mutable {
+        ApplyDueFlips(fuzz_case, twin_rig, now, &cursor);
+      };
+      return twin_config;
+    };
+    twin.load = &spec.load;
+    twin.supply = &spec.supply;
+    twin.crashes = fuzz_case.crashes;
+    std::sort(twin.crashes.begin(), twin.crashes.end(),
               [](const CrashEvent& a, const CrashEvent& b) {
                 return a.time.value() < b.time.value();
               });
-    checkpoint::MemorySlotDevice device;
-    const uint64_t digest =
-        MixU64(MixU64(0, fuzz_case.seed), HashString(fuzz_case.pack));
-    size_t crash_index = 0;
-    auto twin = std::make_unique<FuzzRig>(spec, fuzz_case);
-    auto store = std::make_unique<checkpoint::CheckpointStore>(&device, digest);
-    bool cold_boot = true;
-    SimLoopState resume_state;
-    SimResult twin_result;
-    bool restore_failed = false;
-    for (;;) {
-      size_t twin_cursor = 0;
-      if (!cold_boot) {
-        // Flips at or before the checkpoint were applied before the
-        // snapshot and ride in the restored RuntimeState.
-        while (twin_cursor < fuzz_case.flips.size() &&
-               fuzz_case.flips[twin_cursor].time.value() <=
-                   resume_state.t.value()) {
-          ++twin_cursor;
-        }
-      }
-      SimConfig twin_config = CappedSimConfig(spec, config);
-      twin_config.checkpoint_period = config.crash_checkpoint_period;
-      FuzzRig* twin_ptr = twin.get();
-      checkpoint::CheckpointStore* store_ptr = store.get();
-      twin_config.on_tick = [&fuzz_case, twin_ptr, &twin_cursor](
-                                const MicroTick&, Duration now) {
-        ApplyDueFlips(fuzz_case, *twin_ptr, now, &twin_cursor);
-      };
-      twin_config.on_barrier = [&crashes, &crash_index](CrashBarrier barrier,
-                                                        Duration now) {
-        if (crash_index < crashes.size()) {
-          const CrashEvent& next = crashes[crash_index];
-          if (next.barrier == barrier && now.value() >= next.time.value()) {
-            ++crash_index;
-            SDB_JOURNAL_EVENT(obs::EventKind::kSimEvent, now.value(), -1,
-                              "crash-injected",
-                              std::string(CrashBarrierName(barrier)));
-            return false;
-          }
-        }
-        return true;
-      };
-      twin_config.on_checkpoint = [&](const SimLoopState& state) {
-        bool die = false;
-        if (crash_index < crashes.size()) {
-          const CrashEvent& next = crashes[crash_index];
-          if (next.barrier == CrashBarrier::kMidCheckpointWrite &&
-              state.t.value() >= next.time.value()) {
-            die = true;
-            if (next.torn != TornWriteKind::kNone) {
-              const TornWriteKind torn = next.torn;
-              const uint64_t torn_seed =
-                  fuzz_case.seed ^ kFuzzTornSalt ^ crash_index;
-              store_ptr->SetWriteMutatorOnce(
-                  [torn, torn_seed](std::vector<uint8_t>& bytes) {
-                    ApplyTornWrite(torn, torn_seed, bytes);
-                  });
-            }
-            ++crash_index;
-            SDB_JOURNAL_EVENT(
-                obs::EventKind::kSimEvent, state.t.value(), -1,
-                "crash-injected",
-                std::string(CrashBarrierName(CrashBarrier::kMidCheckpointWrite)) +
-                    (next.torn != TornWriteKind::kNone
-                         ? std::string(":") +
-                               std::string(TornWriteKindName(next.torn))
-                         : std::string()));
-          }
-        }
-        Status saved = store_ptr->Save(SnapshotFuzzRig(*twin_ptr, state), state.t);
-        if (!saved.ok()) {
-          add(state.t, "crash-save", saved.ToString());
-        }
-        return !die;
-      };
-      Simulator twin_sim(&twin->runtime, twin_config);
-      twin_result = cold_boot ? twin_sim.Run(spec.load, spec.supply)
-                              : twin_sim.Resume(resume_state, spec.load, spec.supply);
-      if (!twin_result.crashed) {
-        break;
-      }
-      // Process death: rig and store die; only the slot device survives.
-      twin = std::make_unique<FuzzRig>(spec, fuzz_case);
-      store = std::make_unique<checkpoint::CheckpointStore>(&device, digest);
-      StatusOr<checkpoint::LoadResult> loaded = store->LoadLastGood();
-      if (!loaded.ok()) {
-        SDB_JOURNAL_EVENT(obs::EventKind::kCheckpointRestore, -1.0, -1,
-                          "cold-start", loaded.status().ToString());
-        cold_boot = true;
-        continue;
-      }
-      Status restored = RestoreFuzzRig(*twin, loaded->snapshot, &resume_state);
-      if (!restored.ok()) {
-        add(result.elapsed, "crash-restore", restored.ToString());
-        restore_failed = true;
-        break;
-      }
-      SDB_JOURNAL_EVENT(obs::EventKind::kCheckpointRestore,
-                        resume_state.t.value(), -1, "warm-restart",
-                        std::string(loaded->fell_back ? "fallback slot"
-                                                      : "newest slot"));
-      store->AdoptLoaded(*loaded);
-      cold_boot = false;
-    }
-    if (!restore_failed) {
-      std::string divergence = DescribeSimResultDivergence(result, twin_result);
+    twin.checkpoint_period = config.crash_checkpoint_period;
+    twin.config_digest = MixU64(MixU64(0, fuzz_case.seed), HashString(fuzz_case.pack));
+    twin.torn_seed = fuzz_case.seed ^ kFuzzTornSalt;
+    twin.save_tag = "crash-save";
+    WarmRestartOutcome out = RunWithWarmRestarts(twin, &sink);
+    if (!out.restore.ok()) {
+      sink.Add(result.elapsed, "crash-restore", out.restore.ToString());
+    } else {
+      std::string divergence = DescribeSimResultDivergence(result, out.result);
       if (!divergence.empty()) {
-        add(twin_result.elapsed, "crash-divergence", divergence);
+        sink.Add(out.result.elapsed, "crash-divergence", divergence);
       }
     }
   }
-
-  if (dropped > 0) {
-    violations.back().detail += " (+" + std::to_string(dropped) + " dropped)";
-  }
-  if (journal != nullptr) {
-    *journal = local_journal.Snapshot();
-  }
-  return violations;
+  return finish();
 }
 
 // --- Shrinking ---------------------------------------------------------------
@@ -935,37 +649,22 @@ FuzzCase ShrinkFuzzCaseWith(const FuzzCase& fuzz_case,
   bool reduced = true;
   while (reduced && spent < budget) {
     reduced = false;
-    // Pass 1: drop fault events one at a time.
-    for (size_t i = 0; i < current.faults.events.size();) {
-      FuzzCase candidate = current;
-      candidate.faults.events.erase(candidate.faults.events.begin() +
-                                    static_cast<long>(i));
-      if (try_candidate(candidate)) {
-        reduced = true;  // `current` shrank; retry the same index.
-      } else {
-        ++i;
+    // Passes 1-3: drop fault events, crash events and directive flips, one
+    // at a time.
+    auto drop_each = [&](auto member) {
+      for (size_t i = 0; i < member(current).size();) {
+        FuzzCase candidate = current;
+        member(candidate).erase(member(candidate).begin() + static_cast<long>(i));
+        if (try_candidate(candidate)) {
+          reduced = true;  // `current` shrank; retry the same index.
+        } else {
+          ++i;
+        }
       }
-    }
-    // Pass 2: drop crash events one at a time.
-    for (size_t i = 0; i < current.crashes.size();) {
-      FuzzCase candidate = current;
-      candidate.crashes.erase(candidate.crashes.begin() + static_cast<long>(i));
-      if (try_candidate(candidate)) {
-        reduced = true;
-      } else {
-        ++i;
-      }
-    }
-    // Pass 3: drop directive flips one at a time.
-    for (size_t i = 0; i < current.flips.size();) {
-      FuzzCase candidate = current;
-      candidate.flips.erase(candidate.flips.begin() + static_cast<long>(i));
-      if (try_candidate(candidate)) {
-        reduced = true;
-      } else {
-        ++i;
-      }
-    }
+    };
+    drop_each([](FuzzCase& c) -> auto& { return c.faults.events; });
+    drop_each([](FuzzCase& c) -> auto& { return c.crashes; });
+    drop_each([](FuzzCase& c) -> auto& { return c.flips; });
     // Pass 4: revert parameter overrides to pack defaults.
     std::vector<std::string> keys;
     for (const auto& [name, value] : current.overrides) {
@@ -1041,17 +740,20 @@ FuzzCaseReport BuildCaseReport(FuzzCase sampled, const FuzzConfig& config,
   return report;
 }
 
-FuzzReport MergeCaseReports(std::vector<FuzzCaseReport> slots) {
+// Evaluates case k = case_at(k) into slot k for every k in [0, count).
+FuzzReport SweepCases(int64_t count, const FuzzConfig& config, bool shrink,
+                      const std::function<FuzzCase(int64_t)>& case_at) {
   FuzzReport report;
-  report.cases = std::move(slots);
-  uint64_t h = 0;
+  report.cases.resize(static_cast<size_t>(count));
+  RunSeededSweep(count, config.jobs, [&](int64_t index) {
+    report.cases[index] = BuildCaseReport(case_at(index), config, shrink);
+  });
   for (const FuzzCaseReport& fuzz_case : report.cases) {
     if (fuzz_case.failed) {
       ++report.failures;
     }
-    h = MixU64(h, fuzz_case.fingerprint);
   }
-  report.fingerprint = h;
+  report.fingerprint = MergeFingerprints(report.cases);
   return report;
 }
 
@@ -1067,39 +769,17 @@ StatusOr<FuzzReport> RunFuzz(const FuzzConfig& config) {
                                   "' in fuzz pack list (sdbsim workload --list)");
     }
   }
-  std::vector<FuzzCaseReport> slots(config.cases);
-  std::optional<ThreadPool> pool;
-  if (config.jobs != 1) {
-    pool.emplace(config.jobs);
-  }
-  const FuzzConfig& cfg = config;
-  // Index-slot determinism: case k depends on (config, master_seed + k)
-  // alone and writes only slot k, so any worker count is bit-identical.
-  ParallelFor(pool.has_value() ? &*pool : nullptr, config.cases,
-              [&slots, &cfg](int64_t index) {
-                slots[index] = BuildCaseReport(
-                    SampleFuzzCase(cfg, cfg.master_seed + static_cast<uint64_t>(index)),
-                    cfg, cfg.shrink);
-              });
-  return MergeCaseReports(std::move(slots));
+  return SweepCases(config.cases, config, config.shrink, [&config](int64_t index) {
+    return SampleFuzzCase(config, config.master_seed + static_cast<uint64_t>(index));
+  });
 }
 
 FuzzReport ReplayFuzzCases(const std::vector<FuzzCase>& cases,
                            const FuzzConfig& config) {
-  std::vector<FuzzCaseReport> slots(cases.size());
-  std::optional<ThreadPool> pool;
-  if (config.jobs != 1 && cases.size() > 1) {
-    pool.emplace(config.jobs);
-  }
-  const FuzzConfig& cfg = config;
-  ParallelFor(pool.has_value() ? &*pool : nullptr,
-              static_cast<int64_t>(cases.size()),
-              [&slots, &cases, &cfg](int64_t index) {
-                // Replay never re-shrinks: the line under replay is already
-                // the minimal case and must fail (or pass) as-is.
-                slots[index] = BuildCaseReport(cases[index], cfg, /*shrink=*/false);
-              });
-  return MergeCaseReports(std::move(slots));
+  // Replay never re-shrinks: the line under replay is already the minimal
+  // case and must fail (or pass) as-is.
+  return SweepCases(static_cast<int64_t>(cases.size()), config, /*shrink=*/false,
+                    [&cases](int64_t index) { return cases[index]; });
 }
 
 }  // namespace sdb

@@ -6,34 +6,15 @@
 #include <iterator>
 #include <optional>
 
-#include "src/chem/library.h"
-#include "src/core/runtime.h"
-#include "src/emu/simulator.h"
-#include "src/hw/command_link.h"
-#include "src/hw/safety.h"
-#include "src/util/thread_pool.h"
+#include "src/emu/harness.h"
 
 namespace sdb {
 
 namespace {
 
-constexpr int kSoakBatteries = 4;
-constexpr size_t kMaxViolationsPerSchedule = 16;
-
 // Every schedule derives its rig seeds from the schedule seed alone, so a
 // report line ("seed 17 violated X") is all that is needed to replay it.
 constexpr uint64_t kMicroSeedSalt = 0x50AB0B5EEDULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixU64(h, bits);
-}
 
 float ReadF32(const uint8_t* data) {
   float value;
@@ -46,84 +27,29 @@ bool IsLinkWide(FaultClass kind) {
          kind == FaultClass::kMicroCrash || kind == FaultClass::kMicroBrownout;
 }
 
-// Lifecycle doctrine for the soak rig: recovery on, with dwell times short
-// enough that a trip near the last fault window still completes its
-// cool-down + probe inside the remaining horizon.
-RecoveryConfig SoakRecovery() {
-  RecoveryConfig recovery;
-  recovery.enabled = true;
-  recovery.base_dwell = Minutes(3.0);
-  recovery.dwell_backoff = 2.0;
-  recovery.max_dwell = Minutes(12.0);
-  recovery.probe_duration = Minutes(2.0);
-  return recovery;
-}
-
-// Everything one rig run produces, copied out before the rig is torn down.
+// What the schedule reads back from one rig run.
 struct RigOutcome {
-  bool completed = false;
+  SimResult result;
   std::vector<double> final_shares;
-  std::vector<double> final_soc;
-  Energy delivered;
-  bool recovered = false;
-  uint64_t trips = 0;
-  uint64_t recoveries = 0;
-  uint64_t reboots = 0;
-  uint64_t resyncs = 0;
-  uint64_t replayed_commands = 0;
 };
 
-// Builds the 4-battery tablet rig (recovery-enabled supervisor + command
-// link + ramping runtime), plays the constant load for the horizon and —
-// when `report` is given — checks the per-tick invariants and the energy
-// ledger, recording breaches. `plan == nullptr` runs the never-faulted
-// baseline on the identical rig.
-RigOutcome RunRig(const SoakConfig& config, uint64_t seed, const FaultPlan* plan,
-                  SoakScheduleReport* report) {
-  std::vector<Cell> cells;
-  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.8);
-  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.8);
-  SdbMicrocontroller micro =
-      MakeDefaultMicrocontroller(std::move(cells), kMicroSeedSalt ^ seed);
-
-  std::vector<SafetyLimits> limits;
-  for (size_t i = 0; i < micro.battery_count(); ++i) {
-    limits.push_back(DeriveLimits(micro.pack().cell(i).params()));
-  }
-  SafetySupervisor safety(limits, SoakRecovery());
-  micro.AttachSafety(&safety);
-
-  // Install before wiring the link so the client can attach the injector
-  // that lives for the whole run (SimConfig.faults stays empty).
-  if (plan != nullptr) {
-    micro.InstallFaults(*plan);
-  }
-
+// Plays the constant load for the horizon on the tablet recovery rig and —
+// when `report` is given — checks the per-tick invariants, the wire audit and
+// the energy ledger into `sink` and fills the report's run fields. An empty
+// `plan` runs the never-faulted baseline on the identical rig.
+RigOutcome RunRig(const SoakConfig& config, uint64_t seed, const FaultPlan& plan,
+                  SoakScheduleReport* report, ViolationSink* sink) {
+  // The tap below reads these, so they outlive the rig that holds it.
   Duration sim_now = Seconds(0.0);
-  SdbRuntime* runtime_ptr = nullptr;  // Filled in once the runtime exists.
-  auto add_violation = [&](Duration at, const char* tag, std::string detail) {
-    if (report == nullptr) {
-      return;
-    }
-    // Every breach lands in the journal (the ring out-sizes the violation
-    // cap, so dropped violations stay visible in a post-mortem bundle).
-    SDB_JOURNAL_EVENT(obs::EventKind::kOracleVerdict, at.value(), -1, tag, detail);
-    if (report->violations.size() >= kMaxViolationsPerSchedule) {
-      ++report->violations_dropped;
-      return;
-    }
-    report->violations.push_back(SoakViolation{seed, at, tag, std::move(detail)});
-  };
-
-  CommandLinkServer server(&micro);
   FrameDecoder audit_decoder;
-  CommandLinkClient client([&](const std::vector<uint8_t>& bytes) {
-    // Invariant 3, audited at the wire: a ratio-programming frame must
-    // carry a (near-)zero share for every battery the runtime has
-    // quarantined at the moment the frame is sent.
-    if (report != nullptr && runtime_ptr != nullptr) {
+  RecoveryRig rig(TabletRigCells(), kMicroSeedSalt ^ seed, plan, HarnessRuntimeConfig());
+  std::optional<TickInvariants> invariants;
+  if (report != nullptr) {
+    invariants.emplace(rig, sink);
+    // Invariant 3, audited at the wire: a ratio-programming frame must carry
+    // a (near-)zero share for every battery the runtime has quarantined at
+    // the moment the frame is sent.
+    rig.frame_tap = [&](const std::vector<uint8_t>& bytes) {
       std::vector<Frame> frames;
       audit_decoder.Feed(bytes, frames);
       for (const Frame& frame : frames) {
@@ -131,34 +57,18 @@ RigOutcome RunRig(const SoakConfig& config, uint64_t seed, const FaultPlan* plan
             frame.type != MessageType::kSetChargeRatios) {
           continue;
         }
-        const std::vector<bool>& excluded = runtime_ptr->excluded_batteries();
+        const std::vector<bool>& excluded = rig.runtime.excluded_batteries();
         // Mutating payloads carry a 2-byte sequence prefix before the f32s.
         for (size_t i = 0; 2 + (i + 1) * 4 <= frame.payload.size(); ++i) {
           if (i < excluded.size() && excluded[i] &&
               ReadF32(frame.payload.data() + 2 + i * 4) > 1e-6f) {
-            add_violation(sim_now, "quarantine-share",
-                          "battery " + std::to_string(i) +
-                              " excluded but programmed share " +
-                              std::to_string(ReadF32(frame.payload.data() + 2 + i * 4)));
+            sink->Add(sim_now, "quarantine-share",
+                      "battery " + std::to_string(i) + " excluded but programmed share " +
+                          std::to_string(ReadF32(frame.payload.data() + 2 + i * 4)));
           }
         }
       }
-    }
-    return server.Receive(bytes);
-  });
-  client.AttachFaultInjector(micro.fault_injector());
-
-  RuntimeConfig runtime_config;
-  runtime_config.reintegration_horizon = Minutes(10.0);
-  SdbRuntime runtime(&micro, runtime_config);
-  runtime.AttachLink(&client);
-  runtime_ptr = &runtime;
-
-  // Per-tick invariant state.
-  std::vector<bool> prev_faulted(micro.battery_count(), false);
-  std::vector<double> prev_cycles(micro.battery_count(), 0.0);
-  for (size_t i = 0; i < micro.battery_count(); ++i) {
-    prev_cycles[i] = micro.pack().cell(i).aging().cycle_count();
+    };
   }
 
   SimConfig sim_config;
@@ -167,115 +77,63 @@ RigOutcome RunRig(const SoakConfig& config, uint64_t seed, const FaultPlan* plan
   sim_config.stop_on_shortfall = false;
   sim_config.on_tick = [&](const MicroTick& tick, Duration now) {
     sim_now = now;
-    if (report == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < micro.battery_count(); ++i) {
-      const Cell& cell = micro.pack().cell(i);
-      // Invariant 1: ground-truth SoC stays finite and in [0, 1].
-      double soc = cell.soc();
-      if (!std::isfinite(soc) || soc < 0.0 || soc > 1.0) {
-        add_violation(now, "soc-range",
-                      "battery " + std::to_string(i) + " soc " + std::to_string(soc));
-      }
-      // Invariant 4: cycle counts never run backwards.
-      double cycles = cell.aging().cycle_count();
-      if (cycles + 1e-12 < prev_cycles[i]) {
-        add_violation(now, "cycle-monotone",
-                      "battery " + std::to_string(i) + " cycles " +
-                          std::to_string(cycles) + " < " + std::to_string(prev_cycles[i]));
-      }
-      prev_cycles[i] = cycles;
-      // Invariant 2: a battery that entered this tick safety-faulted must
-      // have been masked out of both circuits.
-      if (prev_faulted[i]) {
-        double discharge_a = i < tick.discharge.currents.size()
-                                 ? std::fabs(tick.discharge.currents[i].value())
-                                 : 0.0;
-        double charge_a = i < tick.charge.currents.size()
-                              ? std::fabs(tick.charge.currents[i].value())
-                              : 0.0;
-        if (discharge_a > 1e-9 || charge_a > 1e-9) {
-          add_violation(now, "faulted-current",
-                        "battery " + std::to_string(i) + " carried " +
-                            std::to_string(std::max(discharge_a, charge_a)) +
-                            " A while faulted");
-        }
-      }
-      prev_faulted[i] = safety.IsFaulted(i);
+    if (invariants.has_value()) {
+      invariants->Check(tick, now);
     }
   };
 
-  double e0 = micro.pack().TotalRemainingEnergy().value();
-  Simulator sim(&runtime, sim_config);
+  double e0 = rig.micro.pack().TotalRemainingEnergy().value();
+  Simulator sim(&rig.runtime, sim_config);
   SimResult result = sim.Run(PowerTrace::Constant(config.load, config.horizon));
-  double e1 = micro.pack().TotalRemainingEnergy().value();
+  double e1 = rig.micro.pack().TotalRemainingEnergy().value();
 
-  RigOutcome outcome;
-  outcome.completed =
-      result.elapsed.value() >= config.horizon.value() - config.tick.value();
-  if (!outcome.completed) {
-    add_violation(result.elapsed, "incomplete",
-                  "run stopped at " + std::to_string(result.elapsed.value()) + " s");
-  }
-
-  // Invariant 5: the energy ledger balances over the whole run.
   if (report != nullptr) {
+    report->completed = result.elapsed.value() >= config.horizon.value() - config.tick.value();
+    if (!report->completed) {
+      sink->Add(result.elapsed, "incomplete",
+                "run stopped at " + std::to_string(result.elapsed.value()) + " s");
+    }
+    // Invariant 5: the energy ledger balances over the whole run.
     double drawn = e0 - e1;
     double accounted = result.delivered.value() + result.TotalLoss().value();
     double tolerance = std::max(2.0, drawn * config.energy_tolerance_fraction);
     if (!std::isfinite(accounted) || std::fabs(drawn - accounted) > tolerance) {
-      add_violation(result.elapsed, "ledger",
-                    "drawn " + std::to_string(drawn) + " J vs accounted " +
-                        std::to_string(accounted) + " J");
+      sink->Add(result.elapsed, "ledger",
+                "drawn " + std::to_string(drawn) + " J vs accounted " +
+                    std::to_string(accounted) + " J");
     }
+    report->recovered = !rig.safety.AnyUnhealthy() && !rig.runtime.degraded() &&
+                        !rig.micro.awaiting_resync() && !rig.micro.in_reset();
+    for (size_t i = 0; i < rig.micro.battery_count(); ++i) {
+      report->trips += rig.safety.trip_count(i);
+      report->recoveries += rig.safety.recovery_count(i);
+    }
+    if (rig.micro.fault_injector() != nullptr) {
+      report->reboots = rig.micro.fault_injector()->micro_reboots();
+    }
+    report->resyncs = rig.runtime.resilience().resyncs;
+    report->replayed_commands = rig.server.replayed_commands();
   }
-
-  outcome.final_shares = runtime.last_discharge_ratios();
-  outcome.final_soc = result.final_soc;
-  outcome.delivered = result.delivered;
-  outcome.recovered = !safety.AnyUnhealthy() && !runtime.degraded() &&
-                      !micro.awaiting_resync() && !micro.in_reset();
-  for (size_t i = 0; i < micro.battery_count(); ++i) {
-    outcome.trips += safety.trip_count(i);
-    outcome.recoveries += safety.recovery_count(i);
-  }
-  if (micro.fault_injector() != nullptr) {
-    outcome.reboots = micro.fault_injector()->micro_reboots();
-  }
-  outcome.resyncs = runtime.resilience().resyncs;
-  outcome.replayed_commands = server.replayed_commands();
-  return outcome;
+  return RigOutcome{std::move(result), rig.runtime.last_discharge_ratios()};
 }
 
 SoakScheduleReport RunOneSchedule(const SoakConfig& config, uint64_t seed) {
-  // Hermetic: the schedule never emits into a journal installed by the
-  // caller (the --flight-out process journal when a slot runs inline), so
-  // what an outer journal holds cannot depend on work distribution.
-  obs::JournalScope silence(nullptr);
   SoakScheduleReport report;
   report.seed = seed;
   FaultPlan plan =
-      MakeRandomFaultPlan(seed, kSoakBatteries, config.horizon, config.max_events);
+      MakeRandomFaultPlan(seed, kTabletRigBatteries, config.horizon, config.max_events);
   report.events = static_cast<int>(plan.events.size());
 
   // The never-faulted twin of the same rig gives the steady-state
   // allocation the faulted run must converge back to (invariant 6).
-  RigOutcome baseline = RunRig(config, seed, nullptr, nullptr);
+  RigOutcome baseline = RunRig(config, seed, FaultPlan(), nullptr, nullptr);
   // The faulted run records into a per-schedule journal; each schedule runs
   // start-to-finish on one worker thread, so the captured event sequence is
   // independent of the --jobs value.
   obs::EventJournal journal;
   obs::JournalScope journal_scope(&journal);
-  RigOutcome faulted = RunRig(config, seed, &plan, &report);
-
-  report.completed = faulted.completed;
-  report.recovered = faulted.recovered;
-  report.trips = faulted.trips;
-  report.recoveries = faulted.recoveries;
-  report.reboots = faulted.reboots;
-  report.resyncs = faulted.resyncs;
-  report.replayed_commands = faulted.replayed_commands;
+  ViolationSink sink;
+  RigOutcome faulted = RunRig(config, seed, plan, &report, &sink);
 
   for (size_t i = 0;
        i < faulted.final_shares.size() && i < baseline.final_shares.size(); ++i) {
@@ -283,19 +141,17 @@ SoakScheduleReport RunOneSchedule(const SoakConfig& config, uint64_t seed) {
         std::max(report.max_share_delta,
                  std::fabs(faulted.final_shares[i] - baseline.final_shares[i]));
   }
-  if (!faulted.recovered) {
-    report.violations.push_back(SoakViolation{
-        seed, config.horizon, "no-recovery",
-        "supervisor/runtime/controller still unhealthy at end of horizon"});
-    SDB_JOURNAL_EVENT(obs::EventKind::kOracleVerdict, config.horizon.value(), -1,
-                      "no-recovery", report.violations.back().detail);
+  if (!report.recovered) {
+    sink.Add(config.horizon, "no-recovery",
+             "supervisor/runtime/controller still unhealthy at end of horizon");
   } else if (report.max_share_delta > config.convergence_tolerance) {
-    report.violations.push_back(SoakViolation{
-        seed, config.horizon, "convergence",
-        "max share delta " + std::to_string(report.max_share_delta) + " vs baseline"});
-    SDB_JOURNAL_EVENT(obs::EventKind::kOracleVerdict, config.horizon.value(), -1,
-                      "convergence", report.violations.back().detail);
+    sink.Add(config.horizon, "convergence",
+             "max share delta " + std::to_string(report.max_share_delta) + " vs baseline");
   }
+  for (const Breach& breach : sink.kept()) {
+    report.violations.push_back(SoakViolation{seed, breach.time, breach.tag, breach.detail});
+  }
+  report.violations_dropped = sink.dropped();
   report.journal = journal.Snapshot();
 
   uint64_t h = MixU64(0, seed);
@@ -310,8 +166,8 @@ SoakScheduleReport RunOneSchedule(const SoakConfig& config, uint64_t seed) {
   h = MixU64(h, static_cast<uint64_t>(report.violations.size()) +
                     report.violations_dropped);
   h = MixDouble(h, report.max_share_delta);
-  h = MixDouble(h, faulted.delivered.value());
-  for (double soc : faulted.final_soc) {
+  h = MixDouble(h, faulted.result.delivered.value());
+  for (double soc : faulted.result.final_soc) {
     h = MixDouble(h, soc);
   }
   for (double share : faulted.final_shares) {
@@ -330,19 +186,12 @@ FaultPlan MakeRandomFaultPlan(uint64_t seed, int batteries, Duration horizon,
   SDB_CHECK(horizon.value() > 0.0);
   // Distinct stream from the injector's (which re-mixes plan.seed itself).
   Rng rng(seed ^ 0x5C4EDD1E5EEDULL);
-  const FaultClass kinds[] = {
-      FaultClass::kLinkTimeout,       FaultClass::kLinkCorruptReply,
-      FaultClass::kGaugeBias,         FaultClass::kGaugeNoise,
-      FaultClass::kGaugeStuck,        FaultClass::kRegulatorCollapse,
-      FaultClass::kOpenCircuit,       FaultClass::kThermalTrip,
-      FaultClass::kMicroCrash,        FaultClass::kMicroBrownout,
-  };
   FaultPlan plan;
   plan.seed = seed;
   const int count = 1 + static_cast<int>(rng.NextBounded(max_events));
   for (int k = 0; k < count; ++k) {
     FaultEvent event;
-    event.kind = kinds[rng.NextBounded(std::size(kinds))];
+    event.kind = kAllFaultClasses[rng.NextBounded(std::size(kAllFaultClasses))];
     // Every window closes by 70% of the horizon so the recovery lifecycle
     // and the reintegration ramp can finish before the convergence check.
     const double start = horizon.value() * rng.Uniform(0.05, 0.45);
@@ -351,23 +200,7 @@ FaultPlan MakeRandomFaultPlan(uint64_t seed, int batteries, Duration horizon,
     event.end = Seconds(std::min(start + length, horizon.value() * 0.7));
     event.battery =
         IsLinkWide(event.kind) ? -1 : static_cast<int>(rng.NextBounded(batteries));
-    switch (event.kind) {
-      case FaultClass::kGaugeBias:
-        event.magnitude = rng.Uniform(-0.3, 0.3);
-        break;
-      case FaultClass::kGaugeNoise:
-        event.magnitude = rng.Uniform(5.0, 25.0);
-        break;
-      case FaultClass::kRegulatorCollapse:
-        event.magnitude = rng.Uniform(0.5, 0.9);
-        break;
-      case FaultClass::kThermalTrip:
-        event.magnitude = Celsius(rng.Uniform(62.0, 75.0)).value();
-        break;
-      default:
-        event.magnitude = 0.0;
-        break;
-    }
+    event.magnitude = SampleFaultMagnitude(event.kind, rng);
     event.probability = (event.kind == FaultClass::kLinkTimeout ||
                          event.kind == FaultClass::kLinkCorruptReply)
                             ? rng.Uniform(0.3, 1.0)
@@ -381,29 +214,14 @@ SoakReport RunSoak(const SoakConfig& config) {
   SDB_CHECK(config.schedules > 0);
   SoakReport report;
   report.schedules.resize(config.schedules);
-
-  // Index-slot determinism: schedule k writes only slot k, and everything
-  // inside RunOneSchedule depends on (config, base_seed + k) alone, so any
-  // worker count produces the same bytes.
-  std::optional<ThreadPool> pool;
-  if (config.jobs != 1) {
-    pool.emplace(config.jobs);
-  }
-  std::vector<SoakScheduleReport>& slots = report.schedules;
-  const SoakConfig& cfg = config;
-  ParallelFor(pool.has_value() ? &*pool : nullptr, config.schedules,
-              [&slots, &cfg](int64_t index) {
-                slots[index] =
-                    RunOneSchedule(cfg, cfg.base_seed + static_cast<uint64_t>(index));
-              });
-
-  uint64_t h = 0;
+  RunSeededSweep(config.schedules, config.jobs, [&report, &config](int64_t index) {
+    report.schedules[index] =
+        RunOneSchedule(config, config.base_seed + static_cast<uint64_t>(index));
+  });
   for (const SoakScheduleReport& schedule : report.schedules) {
-    report.total_violations +=
-        schedule.violations.size() + schedule.violations_dropped;
-    h = MixU64(h, schedule.fingerprint);
+    report.total_violations += schedule.violations.size() + schedule.violations_dropped;
   }
-  report.fingerprint = h;
+  report.fingerprint = MergeFingerprints(report.schedules);
   return report;
 }
 

@@ -42,6 +42,15 @@ enum class FaultClass {
   kMicroBrownout,      // Controller held in reset for the whole window.
 };
 
+// Every fault class, in declaration order. Seeded samplers index into this
+// list, so its order is part of every random fault plan.
+inline constexpr FaultClass kAllFaultClasses[] = {
+    FaultClass::kLinkTimeout,  FaultClass::kLinkCorruptReply, FaultClass::kGaugeBias,
+    FaultClass::kGaugeNoise,   FaultClass::kGaugeStuck,       FaultClass::kRegulatorCollapse,
+    FaultClass::kOpenCircuit,  FaultClass::kThermalTrip,      FaultClass::kMicroCrash,
+    FaultClass::kMicroBrownout,
+};
+
 std::string_view FaultClassName(FaultClass kind);
 
 // One scheduled fault, active over [start, end) of the injector's clock.

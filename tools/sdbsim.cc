@@ -115,15 +115,8 @@ std::optional<FaultEvent> ParseFaultSpec(const std::string& spec) {
     std::fprintf(stderr, "sdbsim: bad fault spec '%s'\n", spec.c_str());
     return std::nullopt;
   }
-  const FaultClass kKinds[] = {
-      FaultClass::kLinkTimeout,      FaultClass::kLinkCorruptReply,
-      FaultClass::kGaugeBias,        FaultClass::kGaugeNoise,
-      FaultClass::kGaugeStuck,       FaultClass::kRegulatorCollapse,
-      FaultClass::kOpenCircuit,      FaultClass::kThermalTrip,
-      FaultClass::kMicroCrash,       FaultClass::kMicroBrownout,
-  };
   std::optional<FaultClass> kind;
-  for (FaultClass candidate : kKinds) {
+  for (FaultClass candidate : kAllFaultClasses) {
     if (FaultClassName(candidate) == parts[0]) {
       kind = candidate;
     }
@@ -1125,6 +1118,11 @@ int CmdCrash(const Args& args) {
       std::printf("violation: seed %llu [%s] %s\n",
                   static_cast<unsigned long long>(v.seed), v.check.c_str(),
                   v.detail.c_str());
+    }
+    if (s.violations_dropped > 0) {
+      std::printf("violation: seed %llu: %llu further violation(s) dropped\n",
+                  static_cast<unsigned long long>(s.seed),
+                  static_cast<unsigned long long>(s.violations_dropped));
     }
   }
   std::printf("crash fingerprint: %016llx (%llu violation(s))\n",
