@@ -98,19 +98,30 @@ SimConfig CappedSimConfig(const ScenarioSpec& spec, const FuzzConfig& config) {
   return sim;
 }
 
-// One fault-free policy run of the spec under explicit directives; returns
-// the achieved lifetime (first shortfall, or the whole run when the load
-// was always served).
-Duration PolicyLifetime(const ScenarioSpec& spec, DirectiveParameters directives,
-                        const FuzzConfig& config) {
+// The achieved lifetime of one policy probe: the first shortfall, or the
+// whole capped horizon when the load was always served.
+struct PolicyProbe {
+  Duration lifetime;
+  bool fell_short = false;
+};
+
+// One fault-free policy run of the spec under explicit directives. The run
+// stops at its first shortfall: RunLoop records first_shortfall on the very
+// tick stop_on_shortfall breaks, so the lifetime is the one a full-horizon
+// run returns.
+PolicyProbe PolicyLifetime(const ScenarioSpec& spec, DirectiveParameters directives,
+                           const FuzzConfig& config) {
   SdbMicrocontroller micro =
       MakeDefaultMicrocontroller(BuildScenarioCells(spec), spec.seed ^ kRigSalt);
   RuntimeConfig runtime_config;
   runtime_config.directives = directives;
   SdbRuntime runtime(&micro, runtime_config);
-  Simulator sim(&runtime, CappedSimConfig(spec, config));
+  SimConfig sim_config = CappedSimConfig(spec, config);
+  sim_config.stop_on_shortfall = true;
+  Simulator sim(&runtime, sim_config);
   SimResult result = sim.Run(spec.load, spec.supply);
-  return result.first_shortfall.value_or(result.elapsed);
+  return {result.first_shortfall.value_or(result.elapsed),
+          result.first_shortfall.has_value()};
 }
 
 // The full rig a fuzz case plays against; the crash-equivalence oracle
@@ -555,18 +566,33 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
 
   // Oracle 4: the sampled policy must stay within the configured fraction
   // of the best panel policy's lifetime on the fault-free twin.
+  //
+  // Only the probes the verdict can depend on run (DESIGN.md §14). Every
+  // probe plays the same load, supply, capped horizon and tick, so a probe
+  // that is never short ends at the same accumulated clock, and a probe
+  // that falls short does so at or before it. When the sampled probe was
+  // never short, no panel lifetime can exceed it; `best` moves only on a
+  // strict `>`, so the panel probes are skipped. A panel entry equal to the
+  // case's own directives replays the sampled probe exactly and cannot win
+  // a strict `>` either.
   const double panel[] = {0.1, 0.5, 0.9};
-  Duration sampled_lifetime = PolicyLifetime(spec, fuzz_case.directives, config);
+  const PolicyProbe sampled = PolicyLifetime(spec, fuzz_case.directives, config);
+  const Duration sampled_lifetime = sampled.lifetime;
   Duration best = sampled_lifetime;
   double best_directive = fuzz_case.directives.discharging;
-  for (double d : panel) {
-    DirectiveParameters directives;
-    directives.discharging = d;
-    directives.charging = d;
-    Duration lifetime = PolicyLifetime(spec, directives, config);
-    if (lifetime.value() > best.value()) {
-      best = lifetime;
-      best_directive = d;
+  if (sampled.fell_short) {
+    for (double d : panel) {
+      if (d == fuzz_case.directives.discharging && d == fuzz_case.directives.charging) {
+        continue;
+      }
+      DirectiveParameters directives;
+      directives.discharging = d;
+      directives.charging = d;
+      Duration lifetime = PolicyLifetime(spec, directives, config).lifetime;
+      if (lifetime.value() > best.value()) {
+        best = lifetime;
+        best_directive = d;
+      }
     }
   }
   if (best.value() > 0.0 &&
@@ -759,6 +785,24 @@ FuzzReport SweepCases(int64_t count, const FuzzConfig& config, bool shrink,
 
 }  // namespace
 
+Status CheckFuzzSettings(const FuzzConfig& config) {
+  // Negated comparisons, so NaN is rejected too.
+  if (!(config.fault_probability >= 0.0 && config.fault_probability <= 1.0)) {
+    return InvalidArgumentError("fuzz fault probability must lie in [0, 1], got " +
+                                FormatG17(config.fault_probability));
+  }
+  if (!(config.max_lifetime_loss_fraction >= 0.0 &&
+        config.max_lifetime_loss_fraction <= 1.0)) {
+    return InvalidArgumentError("fuzz max lifetime loss must lie in [0, 1], got " +
+                                FormatG17(config.max_lifetime_loss_fraction));
+  }
+  if (!(config.horizon_cap.value() > 0.0)) {
+    return InvalidArgumentError("fuzz horizon cap must be positive, got " +
+                                FormatG17(config.horizon_cap.value()) + " s");
+  }
+  return Status::Ok();
+}
+
 StatusOr<FuzzReport> RunFuzz(const FuzzConfig& config) {
   if (config.cases <= 0) {
     return InvalidArgumentError("fuzz wants at least one case");
@@ -768,6 +812,9 @@ StatusOr<FuzzReport> RunFuzz(const FuzzConfig& config) {
       return InvalidArgumentError("unknown pack '" + name +
                                   "' in fuzz pack list (sdbsim workload --list)");
     }
+  }
+  if (Status settings = CheckFuzzSettings(config); !settings.ok()) {
+    return settings;
   }
   return SweepCases(config.cases, config, config.shrink, [&config](int64_t index) {
     return SampleFuzzCase(config, config.master_seed + static_cast<uint64_t>(index));

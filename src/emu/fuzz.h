@@ -177,12 +177,18 @@ FuzzCase ShrinkFuzzCase(const FuzzCase& fuzz_case, const FuzzConfig& config,
 
 // --- The sweep ---------------------------------------------------------------
 
+// InvalidArgument unless `fault_probability` and `max_lifetime_loss_fraction`
+// lie in [0, 1] and `horizon_cap` is positive.
+Status CheckFuzzSettings(const FuzzConfig& config);
+
 // Samples and evaluates `config.cases` cases (case k from master_seed + k),
-// shrinking failures when configured. Rejects unknown pack names in
-// `config.packs` with InvalidArgument. Bit-identical for any `jobs`.
+// shrinking failures when configured. Rejects a non-positive case count,
+// unknown pack names in `config.packs` and settings CheckFuzzSettings
+// refuses with InvalidArgument. Bit-identical for any `jobs`.
 StatusOr<FuzzReport> RunFuzz(const FuzzConfig& config);
 
 // Replays an explicit case list through the oracles (the --replay path).
+// Callers vet `config` with CheckFuzzSettings first.
 FuzzReport ReplayFuzzCases(const std::vector<FuzzCase>& cases,
                            const FuzzConfig& config);
 

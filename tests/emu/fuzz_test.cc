@@ -1,9 +1,18 @@
 #include "src/emu/fuzz.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/runtime.h"
+#include "src/emu/scenario_pack.h"
+#include "src/emu/simulator.h"
+#include "src/hw/microcontroller.h"
+#include "src/util/check.h"
 
 namespace sdb {
 namespace {
@@ -72,6 +81,40 @@ TEST(FuzzTest, SweepRejectsBadConfigs) {
   auto report = RunFuzz(config);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {-0.01, 1.01, nan}) {
+    config = ShortConfig();
+    config.fault_probability = bad;
+    report = RunFuzz(config);
+    ASSERT_FALSE(report.ok()) << "fault_probability " << bad;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(CheckFuzzSettings(config).code(), StatusCode::kInvalidArgument);
+
+    config = ShortConfig();
+    config.max_lifetime_loss_fraction = bad;
+    report = RunFuzz(config);
+    ASSERT_FALSE(report.ok()) << "max_lifetime_loss_fraction " << bad;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(CheckFuzzSettings(config).code(), StatusCode::kInvalidArgument);
+  }
+  for (double bad : {0.0, -60.0, nan}) {
+    config = ShortConfig();
+    config.horizon_cap = Seconds(bad);
+    report = RunFuzz(config);
+    ASSERT_FALSE(report.ok()) << "horizon_cap " << bad;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(CheckFuzzSettings(config).code(), StatusCode::kInvalidArgument);
+  }
+
+  // The closed ends of both [0, 1] ranges are valid settings.
+  config = ShortConfig();
+  config.fault_probability = 1.0;
+  config.max_lifetime_loss_fraction = 0.0;
+  EXPECT_TRUE(CheckFuzzSettings(config).ok());
+  config.fault_probability = 0.0;
+  config.max_lifetime_loss_fraction = 1.0;
+  EXPECT_TRUE(CheckFuzzSettings(config).ok());
 }
 
 TEST(FuzzTest, ReproducerLinesRoundTripExactly) {
@@ -381,6 +424,141 @@ TEST(FuzzTest, CapturedJournalIsJobsInvariant) {
   }
   EXPECT_TRUE(saw_verdict);
 #endif
+}
+
+// --- Differential test for oracle 4 ---------------------------------------
+
+// Oracle 4's specification, frozen: four full-horizon fault-free probes on
+// fresh default rigs, one for the case's directives and one for each of the
+// 0.1/0.5/0.9 panel directives. EvaluateFuzzCase now runs only the probes
+// its verdict can depend on and must report exactly this verdict. Do not
+// edit: the salt is the fuzzer's rig salt.
+constexpr uint64_t kReferenceRigSalt = 0x2165EEDULL;
+
+struct ReferenceOracle4 {
+  Duration sampled_lifetime;
+  bool sampled_fell_short = false;
+  Duration best;
+  double best_directive = 0.0;
+};
+
+SimResult ReferenceProbe(const ScenarioSpec& spec, DirectiveParameters directives,
+                         const FuzzConfig& config) {
+  SdbMicrocontroller micro = MakeDefaultMicrocontroller(
+      BuildScenarioCells(spec), spec.seed ^ kReferenceRigSalt);
+  RuntimeConfig runtime_config;
+  runtime_config.directives = directives;
+  SdbRuntime runtime(&micro, runtime_config);
+  SimConfig sim_config = spec.sim;
+  sim_config.max_duration =
+      Seconds(std::min(sim_config.max_duration.value(), config.horizon_cap.value()));
+  sim_config.stop_on_shortfall = false;
+  Simulator sim(&runtime, sim_config);
+  return sim.Run(spec.load, spec.supply);
+}
+
+ReferenceOracle4 RunReferenceOracle4(const FuzzCase& fuzz_case, const FuzzConfig& config) {
+  StatusOr<ScenarioSpec> spec =
+      ExpandScenario(fuzz_case.pack, fuzz_case.overrides, fuzz_case.seed);
+  SDB_CHECK(spec.ok());
+  ReferenceOracle4 out;
+  SimResult sampled = ReferenceProbe(*spec, fuzz_case.directives, config);
+  out.sampled_lifetime = sampled.first_shortfall.value_or(sampled.elapsed);
+  out.sampled_fell_short = sampled.first_shortfall.has_value();
+  out.best = out.sampled_lifetime;
+  out.best_directive = fuzz_case.directives.discharging;
+  for (double d : {0.1, 0.5, 0.9}) {
+    DirectiveParameters directives;
+    directives.discharging = d;
+    directives.charging = d;
+    SimResult result = ReferenceProbe(*spec, directives, config);
+    Duration lifetime = result.first_shortfall.value_or(result.elapsed);
+    if (lifetime.value() > out.best.value()) {
+      out.best = lifetime;
+      out.best_directive = d;
+    }
+  }
+  return out;
+}
+
+std::string ReferenceG17(double v) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+// The frozen oracle's policy-regression detail at `max_loss`, "" for none.
+std::string ReferenceDetail(const FuzzCase& fuzz_case, const ReferenceOracle4& ref,
+                            double max_loss) {
+  if (!(ref.best.value() > 0.0 &&
+        ref.sampled_lifetime.value() < (1.0 - max_loss) * ref.best.value())) {
+    return "";
+  }
+  return "dch=" + ReferenceG17(fuzz_case.directives.discharging) + " lifetime " +
+         std::to_string(ref.sampled_lifetime.value()) + " s vs " +
+         std::to_string(ref.best.value()) + " s at panel dch=" +
+         ReferenceG17(ref.best_directive);
+}
+
+// EvaluateFuzzCase's policy-regression detail, "" for none.
+std::string EvaluatedDetail(const FuzzCase& fuzz_case, const FuzzConfig& config) {
+  std::string detail;
+  for (const FuzzViolation& violation : EvaluateFuzzCase(fuzz_case, config)) {
+    if (violation.oracle == "policy-regression") {
+      EXPECT_TRUE(detail.empty()) << "two policy-regression verdicts";
+      detail = violation.detail;
+    }
+  }
+  return detail;
+}
+
+TEST(FuzzOracle4DifferentialTest, MatchesTheFourProbeSpecification) {
+  std::vector<FuzzCase> cases;
+  auto known_bad = ParseFuzzCase(kKnownBadLine);
+  ASSERT_TRUE(known_bad.ok());
+  cases.push_back(*known_bad);
+  // The shrinker's 0.5/0.5 snap: the case's directives equal a panel entry.
+  FuzzCase snapped = *known_bad;
+  snapped.directives.discharging = 0.5;
+  snapped.directives.charging = 0.5;
+  cases.push_back(snapped);
+  // Discharging equals the 0.1 panel entry but charging does not, so the
+  // 0.1/0.1 probe is a different run, and it outlives the case by 5 s.
+  auto half_match = ParseFuzzCase(
+      "pack=harvest-dual seed=247 dch=0.10000000000000001 chg=0.050000000000000003 "
+      "p:capacity_mah=835.59401367077692 p:tx_duty=0.46603294141242346 "
+      "p:tx_w=4.4382702094028472");
+  ASSERT_TRUE(half_match.ok());
+  cases.push_back(*half_match);
+  FuzzConfig sampling;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    cases.push_back(SampleFuzzCase(sampling, seed));
+  }
+
+  int served_whole_horizon = 0;
+  int fell_short_panel_won = 0;
+  int fell_short_no_panel_won = 0;
+  int regressions = 0;
+  for (const FuzzCase& fuzz_case : cases) {
+    FuzzConfig config;
+    const ReferenceOracle4 ref = RunReferenceOracle4(fuzz_case, config);
+    const bool panel_won = ref.best.value() > ref.sampled_lifetime.value();
+    served_whole_horizon += ref.sampled_fell_short ? 0 : 1;
+    fell_short_panel_won += ref.sampled_fell_short && panel_won ? 1 : 0;
+    fell_short_no_panel_won += ref.sampled_fell_short && !panel_won ? 1 : 0;
+    for (double max_loss : {0.0, 0.25}) {
+      config.max_lifetime_loss_fraction = max_loss;
+      const std::string expected = ReferenceDetail(fuzz_case, ref, max_loss);
+      regressions += expected.empty() ? 0 : 1;
+      EXPECT_EQ(EvaluatedDetail(fuzz_case, config), expected)
+          << FormatFuzzCase(fuzz_case) << " at max loss " << max_loss;
+    }
+  }
+  // Every branch of the probe rule is exercised, and the oracle fires.
+  EXPECT_GT(served_whole_horizon, 0);
+  EXPECT_GT(fell_short_panel_won, 0);
+  EXPECT_GT(fell_short_no_panel_won, 0);
+  EXPECT_GT(regressions, 0);
 }
 
 }  // namespace

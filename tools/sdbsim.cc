@@ -13,11 +13,13 @@
 //   sdbsim plan-charge --battery high-energy:4000 --soc 0.2 --deadline-hours 8
 //   sdbsim sweep --battery fast:4000 --battery high-energy:4000
 //          --load-watts 8 --hours 4 --runs 64 --jobs 4
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -196,6 +198,31 @@ struct Args {
   std::string kind_filter;   // --kind KIND event filter for `blackbox`.
 };
 
+// Strict numeric operands: the whole value must parse, so a typo such as
+// `--max-loss-pct abc` is a usage error rather than atof's silent 0.
+bool ParseDoubleFlag(const std::string& flag, const char* value, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(value, &end);
+  if (end == value || *end != '\0') {
+    std::fprintf(stderr, "sdbsim: %s wants a number, got '%s'\n", flag.c_str(), value);
+    return false;
+  }
+  return true;
+}
+
+bool ParseIntFlag(const std::string& flag, const char* value, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "sdbsim: %s wants an integer, got '%s'\n", flag.c_str(), value);
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 std::optional<Args> ParseArgs(int argc, char** argv) {
   Args args;
   if (argc < 2) {
@@ -259,7 +286,11 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       args.load_watts = std::atof(value);
     } else if (flag == "--hours") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.hours = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.hours)) return std::nullopt;
+      if (!(args.hours > 0.0)) {
+        std::fprintf(stderr, "sdbsim: --hours wants a positive number, got '%s'\n", value);
+        return std::nullopt;
+      }
     } else if (flag == "--trace") {
       if ((value = next()) == nullptr) return std::nullopt;
       args.trace_path = value;
@@ -327,16 +358,16 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       args.export_trace = value;
     } else if (flag == "--cases") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.cases = std::atoi(value);
+      if (!ParseIntFlag(flag, value, &args.cases)) return std::nullopt;
     } else if (flag == "--packs") {
       if ((value = next()) == nullptr) return std::nullopt;
       args.packs_csv = value;
     } else if (flag == "--fault-prob") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.fault_prob = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.fault_prob)) return std::nullopt;
     } else if (flag == "--max-loss-pct") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.max_loss_pct = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.max_loss_pct)) return std::nullopt;
     } else if (flag == "--no-shrink") {
       args.no_shrink = true;
     } else if (flag == "--corpus-out") {
@@ -1498,6 +1529,10 @@ int CmdFuzz(const Args& args) {
   config.shrink = !args.no_shrink;
   if (args.hours > 0.0) {
     config.horizon_cap = Hours(args.hours);
+  }
+  if (Status settings = CheckFuzzSettings(config); !settings.ok()) {
+    std::fprintf(stderr, "sdbsim: %s\n", settings.ToString().c_str());
+    return 2;
   }
   if (!args.packs_csv.empty()) {
     size_t pos = 0;
