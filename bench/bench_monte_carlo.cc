@@ -1,30 +1,22 @@
 // Monte-Carlo policy comparison: the Fig. 13 conclusion with spread. Each
 // policy runs the smart-watch day across many jittered workload seeds
 // (different check timings, burst powers, run intensity); mean, spread and
-// worst case are reported per policy.
-//
-// Also the perf harness for the batched SoA kernel (DESIGN.md §12): a
-// kernel-throughput section steps --lanes cells for --steps ticks through
-// CellLanes::AdvanceBatch and through per-object Cell calls, asserts the
-// two end states are bit-identical, and reports both rates. Timing is
-// min-of-reps (check_overhead.py doctrine).
+// worst case are reported per policy. The sweep's wall clock (min-of-reps,
+// check_overhead.py doctrine) gives the full-rig cell-step rate.
 //
 // Flags: --runs N (default 24), --jobs N (default SDB_THREADS / hardware),
-// --reps N (default 3), --lanes N (default 256), --steps N (default 2000),
-// --bench-out PATH (write BENCH_monte_carlo.json), --speedup (time one
-// sweep serially and with --jobs workers and print the ratio — the engine's
-// determinism means both produce identical stats).
+// --reps N (default 3), --bench-out PATH (write BENCH_monte_carlo.json),
+// --speedup (time one sweep serially and with --jobs workers and print the
+// ratio — the engine's determinism means both produce identical stats).
 #include <cstring>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "src/chem/soa_kernel.h"
 #include "src/emu/monte_carlo.h"
 #include "src/emu/workload.h"
 #include "src/obs/trace.h"
-#include "src/util/check.h"
 #include "src/util/histogram.h"
 #include "src/util/thread_pool.h"
 
@@ -62,102 +54,12 @@ double TimeSweep(int runs, int jobs) {
   return stopwatch.ElapsedSeconds();
 }
 
-// ---- Kernel-throughput microbench ----------------------------------------
-
-// Mixed pack for the lane benchmark: half smart-watch cells, half
-// fast-charge tablet cells, all at 90% so both charge and discharge stay in
-// the unclamped regime for most of the run (clamped tails are fine — both
-// paths clamp identically).
-std::vector<Cell> MakeKernelCells(int lanes) {
-  std::vector<Cell> cells;
-  cells.reserve(static_cast<size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) {
-    if (i % 2 == 0) {
-      cells.emplace_back(MakeWatchLiIon(MilliAmpHours(200.0)), 0.9);
-    } else {
-      cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(3000.0)), 0.9);
-    }
-  }
-  return cells;
-}
-
-// Deterministic per-lane, per-tick load: mostly discharge with a charge
-// tick every 4th step, magnitudes staggered across lanes so neighbouring
-// lanes take different curve segments.
-soa::LaneRequest KernelRequest(int lane, int step) {
-  double scale = (lane % 2 == 0) ? 0.25 : 3.0;  // watch vs tablet watts
-  double wobble = 1.0 + 0.1 * static_cast<double>((lane + step) % 7);
-  if ((step & 3) == 3) {
-    return {soa::LaneOp::kChargePower, scale * wobble};
-  }
-  return {soa::LaneOp::kDischargePower, scale * wobble};
-}
-
-// End-state digest: plain sum of SoC and temperature across lanes. Both
-// paths execute the same soa::StepLaneOnce sequence per lane, so the sums
-// must match bit-for-bit, not just approximately.
-double BatchChecksum(const soa::CellLanes& lanes) {
-  double sum = 0.0;
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    sum += lanes.soc(i) + lanes.temperature_k(i);
-  }
-  return sum;
-}
-
-double ScalarChecksum(const std::vector<Cell>& cells) {
-  double sum = 0.0;
-  for (const Cell& cell : cells) {
-    sum += cell.soc() + cell.thermal().temperature().value();
-  }
-  return sum;
-}
-
-double RunKernelBatch(int lanes, int steps, double* checksum) {
-  std::vector<Cell> cells = MakeKernelCells(lanes);
-  soa::CellLanes batch;
-  for (const Cell& cell : cells) {
-    batch.AddLane(cell);
-  }
-  obs::Stopwatch stopwatch;
-  for (int t = 0; t < steps; ++t) {
-    for (int i = 0; i < lanes; ++i) {
-      soa::LaneRequest req = KernelRequest(i, t);
-      batch.SetRequest(static_cast<size_t>(i), req.op, req.magnitude);
-    }
-    batch.AdvanceBatch(1.0);
-  }
-  double wall = stopwatch.ElapsedSeconds();
-  *checksum = BatchChecksum(batch);
-  return wall;
-}
-
-double RunKernelScalar(int lanes, int steps, double* checksum) {
-  std::vector<Cell> cells = MakeKernelCells(lanes);
-  obs::Stopwatch stopwatch;
-  for (int t = 0; t < steps; ++t) {
-    for (int i = 0; i < lanes; ++i) {
-      soa::LaneRequest req = KernelRequest(i, t);
-      Cell& cell = cells[static_cast<size_t>(i)];
-      if (req.op == soa::LaneOp::kChargePower) {
-        (void)cell.StepChargePower(Watts(req.magnitude), Seconds(1.0));
-      } else {
-        (void)cell.StepDischargePower(Watts(req.magnitude), Seconds(1.0));
-      }
-    }
-  }
-  double wall = stopwatch.ElapsedSeconds();
-  *checksum = ScalarChecksum(cells);
-  return wall;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int jobs = sdb::bench::ParseJobs(argc, argv);
   int runs = sdb::bench::ParseIntFlag(argc, argv, "runs", 24);
   int reps = sdb::bench::ParseIntFlag(argc, argv, "reps", 3);
-  int lanes = sdb::bench::ParseIntFlag(argc, argv, "lanes", 256);
-  int steps = sdb::bench::ParseIntFlag(argc, argv, "steps", 2000);
   bool speedup = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--speedup") == 0) {
@@ -216,29 +118,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- SoA kernel throughput (min-of-reps, checksum-checked) -------------
-  double batch_checksum = 0.0;
-  double scalar_checksum = 0.0;
-  double batch_s = sdb::bench::MinOfReps(
-      reps, [&] { return RunKernelBatch(lanes, steps, &batch_checksum); });
-  double scalar_s = sdb::bench::MinOfReps(
-      reps, [&] { return RunKernelScalar(lanes, steps, &scalar_checksum); });
-  // The facade and the batch share soa::StepLaneOnce; anything but bitwise
-  // equality here means the kernel drifted from the scalar path.
-  SDB_CHECK(batch_checksum == scalar_checksum);
-  double kernel_steps = static_cast<double>(lanes) * static_cast<double>(steps);
-  double batch_rate = batch_s > 0.0 ? kernel_steps / batch_s : 0.0;
-  double scalar_rate = scalar_s > 0.0 ? kernel_steps / scalar_s : 0.0;
-  double batch_speedup = scalar_s > 0.0 && batch_s > 0.0 ? scalar_s / batch_s : 0.0;
-  std::cout << "SoA kernel throughput (" << lanes << " lanes x " << steps
-            << " steps, min of " << reps << " reps):\n"
-            << "  batch  " << TextTable::Num(batch_rate / 1e6, 2) << " M cell-steps/s ("
-            << TextTable::Num(batch_s, 3) << " s)\n"
-            << "  scalar " << TextTable::Num(scalar_rate / 1e6, 2) << " M cell-steps/s ("
-            << TextTable::Num(scalar_s, 3) << " s)\n"
-            << "  speedup " << TextTable::Num(batch_speedup, 2)
-            << "x, checksum " << TextTable::Num(batch_checksum, 6) << " (bit-identical)\n";
-
   // ---- MC sweep wall clock (min-of-reps on the hinted policy) ------------
   MonteCarloResult timed;
   double mc_wall_s = sdb::bench::MinOfReps(reps, [&] {
@@ -270,12 +149,6 @@ int main(int argc, char** argv) {
   report.runs = runs;
   report.reps = reps;
   report.wall_s = mc_wall_s;
-  report.AddMetric("cell_steps_per_s", batch_rate);
-  report.AddMetric("scalar_cell_steps_per_s", scalar_rate);
-  report.AddMetric("batch_speedup", batch_speedup);
-  report.AddMetric("kernel_lanes", static_cast<double>(lanes));
-  report.AddMetric("kernel_steps", static_cast<double>(steps));
-  report.AddMetric("kernel_checksum", batch_checksum);
   report.AddMetric("mc_cell_steps_per_s", mc_rate);
   report.AddMetric("mc_wall_s", mc_wall_s);
   sdb::Status wrote = sdb::bench::WriteBenchReport(report, sdb::bench::ParseBenchOut(argc, argv));

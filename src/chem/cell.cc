@@ -115,10 +115,13 @@ StepResult Cell::StepChargeCurrent(Current current, Duration dt) {
   return RunLaneOp(soa::LaneOp::kChargeCurrent, current.value(), dt);
 }
 
+soa::RawStepResult Cell::StepLane(soa::LaneOp op, double magnitude, Duration dt) {
+  return soa::StepLaneOnce(lane_params_, electrical_.kernel_state(), aging_.kernel_state(),
+                           thermal_.kernel_state(), total_loss_j_, op, magnitude, dt.value());
+}
+
 StepResult Cell::RunLaneOp(soa::LaneOp op, double magnitude, Duration dt) {
-  soa::RawStepResult raw =
-      soa::StepLaneOnce(lane_params_, electrical_.kernel_state(), aging_.kernel_state(),
-                        thermal_.kernel_state(), total_loss_j_, op, magnitude, dt.value());
+  soa::RawStepResult raw = StepLane(op, magnitude, dt);
   soa::AddCellSteps(1);
   return ToStepResult(raw);
 }

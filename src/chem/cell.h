@@ -95,16 +95,18 @@ class Cell {
   Energy total_loss() const { return Joules(total_loss_j_); }
 
   // --- SoA kernel access (soa_kernel.h) -------------------------------------
-  // The step methods above are a single-lane facade over soa::StepLaneOnce;
-  // these hooks let CellLanes gather/scatter the same state, so batch and
-  // facade stepping are bit-identical and round-trips are lossless.
-  const soa::LaneParams& lane_params() const { return lane_params_; }
+  // One step through the shared kernel on this cell's own state (SyncAging +
+  // electrical step + accounting, exactly as StepLaneOnce orders them). The
+  // Step* methods above wrap it and count one cell-step each;
+  // BatteryPack::StepLanes calls it directly and counts a tick's steps in
+  // one soa::AddCellSteps call, so this does not count.
+  soa::RawStepResult StepLane(soa::LaneOp op, double magnitude, Duration dt);
+  // Lossless copy of the dynamic state (the micro checkpoint uses these).
   soa::LaneState ExportLaneState() const;
   void ImportLaneState(const soa::LaneState& state);
 
  private:
-  // One facade step through the shared kernel (SyncAging + electrical step
-  // + accounting, exactly as StepLaneOnce orders them).
+  // A facade step: StepLane, counted, as a typed StepResult.
   StepResult RunLaneOp(soa::LaneOp op, double magnitude, Duration dt);
   // Re-syncs the electrical model's resistance multiplier from aging.
   void SyncAging();

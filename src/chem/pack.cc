@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -12,6 +13,7 @@ namespace sdb {
 void BatteryPack::AddCell(Cell cell) {
   cells_.push_back(std::move(cell));
   open_circuit_.push_back(false);
+  lane_results_.emplace_back();
 }
 
 void BatteryPack::SetOpenCircuit(size_t i, bool open) {
@@ -72,27 +74,17 @@ bool BatteryPack::AllFull(double threshold) const {
 
 void BatteryPack::StepLanes(const std::vector<soa::LaneRequest>& requests, Duration dt) {
   SDB_CHECK(requests.size() == cells_.size());
-  if (lanes_.size() != cells_.size()) {
-    lanes_ = soa::CellLanes();
-    for (const Cell& c : cells_) {
-      lanes_.AddLane(c);
-    }
-  }
+  uint64_t stepped = 0;
   for (size_t i = 0; i < cells_.size(); ++i) {
     if (requests[i].op == soa::LaneOp::kIdle || open_circuit_[i]) {
-      lanes_.SetRequest(i, soa::LaneOp::kIdle, 0.0);
+      lane_results_[i] = soa::RawStepResult{};
       continue;
     }
-    lanes_.SetRequest(i, requests[i].op, requests[i].magnitude);
-    lanes_.Gather(i, cells_[i]);
+    lane_results_[i] = cells_[i].StepLane(requests[i].op, requests[i].magnitude, dt);
+    ++stepped;
   }
-  lanes_.AdvanceBatch(dt.value());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    // Idle lanes were never gathered this call; leave the cell untouched,
-    // exactly as the scalar loops leave unstepped cells alone.
-    if (lanes_.request_op(i) != soa::LaneOp::kIdle) {
-      lanes_.Scatter(i, &cells_[i]);
-    }
+  if (stepped > 0) {
+    soa::AddCellSteps(stepped);
   }
 }
 

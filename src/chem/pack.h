@@ -65,17 +65,21 @@ class BatteryPack {
   }
   bool AnyOpenCircuit() const;
 
-  // --- SDB batched stepping --------------------------------------------------
+  // --- SDB per-tick stepping -------------------------------------------------
 
-  // Steps every cell through the SoA kernel in one AdvanceBatch call: lane i
-  // of `requests` drives cell i. Open-circuit cells are forced to kIdle (no
-  // current flows into a disconnected lane) regardless of the request,
-  // mirroring the scalar circuits, which never step a disconnected cell.
-  // Idle lanes are untouched. Bit-identical to calling the cells' Step*
-  // methods in index order (they share one kernel; DESIGN.md §12). Results
-  // stay readable via lane_result(i) until the next StepLanes call.
+  // The SDB circuits' one way to step cells: lane i of `requests` drives
+  // cell i, stepped in place through soa::StepLaneOnce in index order. An
+  // open-circuit cell is treated as kIdle whatever its request (no current
+  // flows into a disconnected cell). Idle cells are untouched and their
+  // result reads all-zero; only stepped cells count toward
+  // soa::TotalCellSteps(). Bit-identical to calling the cells' Step* methods
+  // (they share one kernel; DESIGN.md §12). Results stay readable via
+  // lane_result(i) until the next StepLanes call.
   void StepLanes(const std::vector<soa::LaneRequest>& requests, Duration dt);
-  const soa::RawStepResult& lane_result(size_t i) const { return lanes_.result(i); }
+  const soa::RawStepResult& lane_result(size_t i) const {
+    SDB_CHECK(i < lane_results_.size());
+    return lane_results_[i];
+  }
 
   // --- Traditional interconnect baselines -----------------------------------
 
@@ -95,10 +99,9 @@ class BatteryPack {
  private:
   std::vector<Cell> cells_;
   std::vector<bool> open_circuit_;
-  // Lazily (re)built scratch lanes for StepLanes. Dynamic cell state is
-  // re-gathered every call (cells also move through scalar paths); keeping
-  // the container avoids re-unpacking parameters each tick.
-  soa::CellLanes lanes_;
+  // StepLanes' per-cell results, one per cell (sized by AddCell, so a tick
+  // never allocates).
+  std::vector<soa::RawStepResult> lane_results_;
 };
 
 }  // namespace sdb

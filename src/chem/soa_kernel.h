@@ -1,16 +1,15 @@
-// Structure-of-arrays batch kernel for the chem hot path (ROADMAP item 2).
+// Structure-of-arrays kernel for the chem hot path.
 //
 // Every electro-chemical update in the repo funnels through the inline
 // primitives below: the Thevenin electrical step, the cycle-counting aging
 // update and the lumped thermal update all operate on raw doubles held in
 // small per-subsystem state bundles. `chem::Cell` (and `TheveninModel` /
 // `AgingModel` / `ThermalModel`) are thin facades that call the same
-// primitives on their own single-lane state, while `CellLanes` packs many
-// cells — or many Monte-Carlo scenario replicas — into densely packed lane
-// arrays and advances all of them per `AdvanceBatch` call. Because facade
-// and batch share one implementation, their outputs
-// are bit-identical by construction (see DESIGN.md §12), which is what lets
-// every pre-existing golden stay pinned while the sweep engine batches.
+// primitives on their own single-lane state, and `BatteryPack::StepLanes`
+// steps a whole pack per tick by running StepLaneOnce on each cell's state
+// in place. One implementation serves every caller, so their outputs are
+// bit-identical by construction (see DESIGN.md §12), which is what keeps
+// every golden pinned.
 //
 // Two deliberate micro-optimisations, both bit-exact:
 //   * curve lookups use PiecewiseLinearCurve::EvaluateHinted with per-lane
@@ -25,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/chem/battery_params.h"
 #include "src/util/check.h"
@@ -33,9 +31,6 @@
 #include "src/util/numeric.h"
 
 namespace sdb {
-
-class Cell;
-
 namespace soa {
 
 // Below this health the battery is end-of-life; fade stops compounding
@@ -46,7 +41,7 @@ inline constexpr double kCycleThresholdFraction = 0.8;
 
 // --- Per-subsystem state bundles -------------------------------------------
 // These are the dynamic doubles of one lane (= one cell). The facade models
-// own one bundle each; CellLanes stores one LaneState block per lane.
+// own one bundle each.
 
 struct ElectricalState {
   double soc = 0.0;
@@ -121,8 +116,8 @@ struct LaneParams {
   double cold_resistance_per_k = 0.0;
 };
 
-// Full dynamic state of one lane, for gather/scatter between a Cell and a
-// CellLanes slot (Cell::ExportLaneState / ImportLaneState).
+// Full dynamic state of one lane, copied out of and back into a Cell by
+// Cell::ExportLaneState / ImportLaneState (the micro checkpoint uses them).
 struct LaneState {
   ElectricalState electrical;
   AgingState aging;
@@ -207,7 +202,7 @@ inline double DecayFactor(double dt_s, double tau, double* cached_dt_s, double* 
 // Integration core of TheveninModel::Integrate, bit for bit. `ocv_start`
 // and `r0` are the curve values at the starting SoC (the callers already
 // need them to pick the current, so they are passed in rather than
-// re-evaluated — the scalar path computed the identical doubles twice).
+// re-evaluated — evaluating them again would give the identical doubles).
 inline RawStepResult ElectricalIntegrate(const ElectricalParamsView& p, ElectricalState& s,
                                          double current_a, double dt_s, double capacity_c,
                                          double ocv_start, double r0) {
@@ -404,8 +399,8 @@ inline double ColdResistanceMultiplier(double cold_resistance_per_k, double temp
 
 // One complete cell step: SyncAging, electrical integration, then the
 // aging/thermal/loss accounting — the exact op sequence of
-// Cell::Step{Discharge,Charge}{Power,Current}. Both the Cell facade and
-// CellLanes::AdvanceBatch run THIS function, which is the bit-identity
+// Cell::Step{Discharge,Charge}{Power,Current}. The Cell facade and
+// BatteryPack::StepLanes both run THIS function, which is the bit-identity
 // invariant the differential suite pins.
 inline RawStepResult StepLaneOnce(const LaneParams& p, ElectricalState& es, AgingState& as,
                                   ThermalState& ts, double& total_loss_j, LaneOp op,
@@ -431,85 +426,12 @@ inline RawStepResult StepLaneOnce(const LaneParams& p, ElectricalState& es, Agin
   return result;
 }
 
-// --- Batch container ---------------------------------------------------------
+// --- Accounting -------------------------------------------------------------
 
-// Flat lanes for a set of cells. State lives in one contiguous LaneState
-// block per lane; parameters are unpacked once per lane. Usage per step:
-// Gather (if the cells moved outside the batch), SetRequest per lane,
-// AdvanceBatch, read result(i), Scatter back.
-class CellLanes {
- public:
-  // Appends a lane initialised from `cell` (params + dynamic state).
-  // The cell's BatteryParams address must stay stable (it does: Cell holds
-  // them behind a unique_ptr).
-  size_t AddLane(const Cell& cell);
-
-  // Copies the cell's dynamic state into lane `lane`.
-  void Gather(size_t lane, const Cell& cell);
-  // Writes lane `lane`'s state back into `cell`.
-  void Scatter(size_t lane, Cell* cell) const;
-
-  // Hot per-lane accessors are inline with debug-only bounds checks: they
-  // run once per lane per tick inside the batch drivers.
-  void SetRequest(size_t lane, LaneOp op, double magnitude) {
-    SDB_DCHECK(lane < size());
-    requests_[lane] = LaneRequest{op, magnitude};
-  }
-  // Resets every lane to kIdle.
-  void ClearRequests();
-
-  // Advances every non-idle lane by dt_s seconds. Idle lanes are untouched
-  // (their result reads as all-zero). Lane order is 0..size()-1; lanes are
-  // independent, so this matches stepping the cells one by one.
-  void AdvanceBatch(double dt_s);
-
-  size_t size() const { return params_.size(); }
-  const RawStepResult& result(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return results_[lane];
-  }
-  LaneOp request_op(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return requests_[lane].op;
-  }
-
-  // State peeks (tests / telemetry).
-  double soc(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return state_[lane].electrical.soc;
-  }
-  double temperature_k(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return state_[lane].thermal.temp_k;
-  }
-
- private:
-  std::vector<LaneParams> params_;
-  // One contiguous state block per lane. A strict per-field SoA split was
-  // measured SLOWER here: each step reads and writes nearly every field of
-  // its lane, so one block (3 cache lines) beats ~20 parallel field
-  // streams, and direct struct-member access lets the compiler keep the
-  // lane in registers — reference bundles into parallel double arrays
-  // would force it to assume any store aliases any later load. The batch
-  // win comes from the dense request/result arrays and from stepping all
-  // lanes in one call with no facade bookkeeping (see DESIGN.md §12).
-  std::vector<LaneState> state_;
-  std::vector<LaneRequest> requests_;
-  std::vector<RawStepResult> results_;
-};
-
-// --- Process-wide switches & accounting -------------------------------------
-
-// Batched pack stepping on/off (default on). The scalar per-cell loops stay
-// behind this switch so differential tests can compare both paths; flipping
-// it never changes results, only which code path produces them.
-void SetBatchStepping(bool enabled);
-bool BatchStepping();
-
-// Total cell-steps executed process-wide (facade + batch), mirrored in the
-// obs counter "sdb.chem.cell_steps". Relaxed; concurrent sweeps both count.
+// Total cell-steps executed process-wide, mirrored in the obs counter
+// "sdb.chem.cell_steps". Relaxed; concurrent sweeps both count.
 uint64_t TotalCellSteps();
-// Internal: called by the facade (n=1) and AdvanceBatch (n=lanes stepped).
+// Internal: called by the facade (n=1) and StepLanes (n=lanes stepped).
 void AddCellSteps(uint64_t n);
 
 }  // namespace soa

@@ -50,7 +50,7 @@ inline StepResult ToStepResult(const soa::RawStepResult& raw) {
 // sdb::Cell; this class treats capacity as externally supplied so the same
 // solver serves both fresh and degraded cells. The step methods are a
 // single-lane facade over the soa kernel primitives (soa_kernel.h), so this
-// class and CellLanes::AdvanceBatch produce bit-identical state.
+// class and BatteryPack::StepLanes produce bit-identical state.
 //
 // The curve accessors (OpenCircuitVoltage, InternalResistance and everything
 // built on them) share a private memo of the OCV and fresh-DCIR curve values
@@ -116,7 +116,7 @@ class TheveninModel {
 
   const BatteryParams& params() const { return *params_; }
 
-  // SoA-lane access for the Cell facade and gather/scatter (soa_kernel.h).
+  // SoA-lane access for the Cell facade and its lane-state export (soa_kernel.h).
   soa::ElectricalState& kernel_state() { return state_; }
   const soa::ElectricalState& kernel_state() const { return state_; }
 

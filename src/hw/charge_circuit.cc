@@ -152,9 +152,8 @@ const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<do
 
   // Convert supply-side power to battery-terminal power and step the cells.
   // Every cell's bus voltage and fixed-point inversion read only pre-step
-  // state of that same cell, so all terminal powers can be computed before
-  // any cell steps — which is what lets the batch path advance all lanes in
-  // one kernel call, bit-identical to the scalar loop.
+  // state of that same cell, so all terminal powers are computed before any
+  // cell steps, and one StepLanes call then steps the whole pack.
   std::vector<double>& bus_v = bus_v_;
   std::vector<double>& p_batt = p_batt_;
   bus_v.assign(n, 0.0);
@@ -179,23 +178,19 @@ const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<do
   double used_w = 0.0;
   double circuit_loss_j = 0.0;
   double battery_loss_j = 0.0;
-  const bool batched = soa::BatchStepping();
-  if (batched) {
-    std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
-    lane_requests.assign(n, soa::LaneRequest{});
-    for (size_t i = 0; i < n; ++i) {
-      if (alloc[i] > 0.0) {
-        lane_requests[i] = {soa::LaneOp::kChargePower, p_batt[i]};
-      }
+  std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
+  lane_requests.assign(n, soa::LaneRequest{});
+  for (size_t i = 0; i < n; ++i) {
+    if (alloc[i] > 0.0) {
+      lane_requests[i] = {soa::LaneOp::kChargePower, p_batt[i]};
     }
-    pack.StepLanes(lane_requests, dt);
   }
+  pack.StepLanes(lane_requests, dt);
   for (size_t i = 0; i < n; ++i) {
     if (alloc[i] <= 0.0) {
       continue;
     }
-    StepResult step = batched ? ToStepResult(pack.lane_result(i))
-                              : pack.cell(i).StepChargePower(Watts(p_batt[i]), dt);
+    StepResult step = ToStepResult(pack.lane_result(i));
     double absorbed_w = -step.energy_at_terminals.value() / dt.value();
     if (absorbed_w <= 0.0) {
       continue;

@@ -30,8 +30,8 @@ TEST(BenchReportTest, ToJsonSchema) {
   report.runs = 24;
   report.reps = 3;
   report.wall_s = 0.5;
-  report.AddMetric("cell_steps_per_s", 4.0e7);
-  report.AddMetric("batch_speedup", 2.5);
+  report.AddMetric("mc_cell_steps_per_s", 4.0e7);
+  report.AddMetric("mc_wall_s", 2.5);
   std::string json = ToJson(report);
   // Flat single-line object with every top-level key present.
   EXPECT_EQ(json.find('\n'), std::string::npos);
@@ -43,10 +43,10 @@ TEST(BenchReportTest, ToJsonSchema) {
   EXPECT_NE(json.find("\"wall_s\":0.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"build\":{\"sdb_threads\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"metrics\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cell_steps_per_s\":40000000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"batch_speedup\":2.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"mc_cell_steps_per_s\":40000000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"mc_wall_s\":2.5"), std::string::npos) << json;
   // Metrics serialize in insertion order (stable diffs).
-  EXPECT_LT(json.find("cell_steps_per_s"), json.find("batch_speedup"));
+  EXPECT_LT(json.find("mc_cell_steps_per_s"), json.find("mc_wall_s"));
 }
 
 TEST(BenchReportTest, BuildInfoSerializesFlagsAndThreadCap) {

@@ -1,10 +1,10 @@
-// Property-style differential suite for the batched SoA kernel: for every
-// chemistry x temperature x dt x load mix, a cell stepped through the
-// scalar facade and the same cell advanced through CellLanes::AdvanceBatch
-// must produce bit-identical state and step results. Exact `==` on doubles
-// is deliberate — the kernel's contract is bit-identity, not closeness
-// (DESIGN.md §12), and any tolerance would mask a divergence that breaks
-// the pinned goldens.
+// Property-style differential suite for BatteryPack::StepLanes, the SDB
+// circuits' one way to step cells: for every chemistry x temperature x dt x
+// load mix, a cell stepped through the Cell facade and the same cell stepped
+// through a pack's StepLanes must produce bit-identical state and step
+// results. Exact `==` on doubles is deliberate — the kernel's contract is
+// bit-identity, not closeness (DESIGN.md §12), and any tolerance would mask
+// a divergence that breaks the pinned goldens.
 #include "src/chem/soa_kernel.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "src/chem/cell.h"
 #include "src/chem/library.h"
+#include "src/chem/pack.h"
 #include "src/chem/thevenin.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
@@ -23,8 +24,8 @@
 namespace sdb {
 namespace {
 
-// Applies one request to a cell through the public scalar facade.
-StepResult ScalarStep(Cell& cell, soa::LaneOp op, double magnitude, double dt_s) {
+// Applies one request to a cell through the public Cell facade.
+StepResult FacadeStep(Cell& cell, soa::LaneOp op, double magnitude, double dt_s) {
   switch (op) {
     case soa::LaneOp::kDischargePower:
       return cell.StepDischargePower(Watts(magnitude), Seconds(dt_s));
@@ -40,22 +41,31 @@ StepResult ScalarStep(Cell& cell, soa::LaneOp op, double magnitude, double dt_s)
   return StepResult{};
 }
 
+// Steps lane `lane` of `pack` alone: every other lane idles this call.
+const soa::RawStepResult& LaneStep(BatteryPack& pack, size_t lane, soa::LaneOp op,
+                                   double magnitude, double dt_s) {
+  std::vector<soa::LaneRequest> requests(pack.size());
+  requests[lane] = {op, magnitude};
+  pack.StepLanes(requests, Seconds(dt_s));
+  return pack.lane_result(lane);
+}
+
 // Bitwise equality that treats NaN-free doubles exactly; any mismatch
 // reports the differing field by name.
-::testing::AssertionResult BitEqual(const char* field, double scalar, double batch) {
-  if (scalar == batch) {
+::testing::AssertionResult BitEqual(const char* field, double facade, double lanes) {
+  if (facade == lanes) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
-         << field << " diverged: scalar=" << scalar << " batch=" << batch
-         << " (delta=" << (batch - scalar) << ")";
+         << field << " diverged: facade=" << facade << " lanes=" << lanes
+         << " (delta=" << (lanes - facade) << ")";
 }
 
 // Compares the full exported lane state of two cells bit for bit.
-void ExpectLaneStateEqual(const Cell& scalar_cell, const Cell& batch_cell,
+void ExpectLaneStateEqual(const Cell& facade_cell, const Cell& lane_cell,
                           const std::string& context) {
-  soa::LaneState a = scalar_cell.ExportLaneState();
-  soa::LaneState b = batch_cell.ExportLaneState();
+  soa::LaneState a = facade_cell.ExportLaneState();
+  soa::LaneState b = lane_cell.ExportLaneState();
   SCOPED_TRACE(context);
   EXPECT_TRUE(BitEqual("soc", a.electrical.soc, b.electrical.soc));
   EXPECT_TRUE(BitEqual("v_rc_v", a.electrical.v_rc_v, b.electrical.v_rc_v));
@@ -77,18 +87,18 @@ void ExpectLaneStateEqual(const Cell& scalar_cell, const Cell& batch_cell,
   EXPECT_TRUE(BitEqual("total_loss_j", a.total_loss_j, b.total_loss_j));
 }
 
-// Compares the facade's typed StepResult with the batch RawStepResult.
-void ExpectStepResultEqual(const StepResult& scalar, const soa::RawStepResult& batch,
+// Compares the facade's typed StepResult with the lane's RawStepResult.
+void ExpectStepResultEqual(const StepResult& facade, const soa::RawStepResult& lane,
                            const std::string& context) {
   SCOPED_TRACE(context);
-  EXPECT_TRUE(BitEqual("current_a", scalar.current.value(), batch.current_a));
-  EXPECT_TRUE(BitEqual("terminal_v", scalar.terminal_voltage.value(), batch.terminal_v));
+  EXPECT_TRUE(BitEqual("current_a", facade.current.value(), lane.current_a));
+  EXPECT_TRUE(BitEqual("terminal_v", facade.terminal_voltage.value(), lane.terminal_v));
   EXPECT_TRUE(
-      BitEqual("energy_terminals_j", scalar.energy_at_terminals.value(), batch.energy_terminals_j));
+      BitEqual("energy_terminals_j", facade.energy_at_terminals.value(), lane.energy_terminals_j));
   EXPECT_TRUE(
-      BitEqual("energy_chemical_j", scalar.energy_chemical.value(), batch.energy_chemical_j));
-  EXPECT_TRUE(BitEqual("energy_lost_j", scalar.energy_lost.value(), batch.energy_lost_j));
-  EXPECT_EQ(scalar.limited, batch.limited) << context;
+      BitEqual("energy_chemical_j", facade.energy_chemical.value(), lane.energy_chemical_j));
+  EXPECT_TRUE(BitEqual("energy_lost_j", facade.energy_lost.value(), lane.energy_lost_j));
+  EXPECT_EQ(facade.limited, lane.limited) << context;
 }
 
 struct GridPoint {
@@ -99,20 +109,18 @@ struct GridPoint {
   bool charge_heavy = false;  // Biases the random op mix toward charging.
 };
 
-// Drives one grid point: two identical cells, one through the scalar
-// facade, one through an AdvanceBatch lane, over `steps` seeded random
+// Drives one grid point: two identical cells, one through the facade, one
+// as a one-cell pack through StepLanes, over `steps` seeded random
 // requests. State is compared after every step so the FIRST divergent
 // step is reported, not a downstream casualty.
 void RunDifferential(const GridPoint& g, uint64_t seed, int steps) {
   std::vector<BatteryParams> library = MakeBatteryLibrary();
   ASSERT_LT(g.chemistry, static_cast<int>(library.size()));
-  Cell scalar_cell(library[g.chemistry], g.initial_soc);
-  Cell batch_cell(library[g.chemistry], g.initial_soc);
-  scalar_cell.mutable_thermal().set_temperature(Kelvin(g.temp_k));
-  batch_cell.mutable_thermal().set_temperature(Kelvin(g.temp_k));
-
-  soa::CellLanes lanes;
-  size_t lane = lanes.AddLane(batch_cell);
+  Cell facade_cell(library[g.chemistry], g.initial_soc);
+  facade_cell.mutable_thermal().set_temperature(Kelvin(g.temp_k));
+  BatteryPack pack;
+  pack.AddCell(Cell(library[g.chemistry], g.initial_soc));
+  pack.cell(0).mutable_thermal().set_temperature(Kelvin(g.temp_k));
 
   Rng rng(seed);
   constexpr soa::LaneOp kOps[] = {soa::LaneOp::kDischargePower, soa::LaneOp::kDischargeCurrent,
@@ -127,18 +135,16 @@ void RunDifferential(const GridPoint& g, uint64_t seed, int steps) {
     double magnitude =
         power_op ? rng.Uniform(0.0, 30.0) : rng.Uniform(0.0, 12.0);
 
-    StepResult scalar_result = ScalarStep(scalar_cell, op, magnitude, g.dt_s);
-    lanes.SetRequest(lane, op, magnitude);
-    lanes.AdvanceBatch(g.dt_s);
-    lanes.Scatter(lane, &batch_cell);
+    StepResult facade_result = FacadeStep(facade_cell, op, magnitude, g.dt_s);
+    const soa::RawStepResult& lane_result = LaneStep(pack, 0, op, magnitude, g.dt_s);
 
     std::string context = "chemistry=" + std::to_string(g.chemistry) +
                           " temp_k=" + std::to_string(g.temp_k) +
                           " dt_s=" + std::to_string(g.dt_s) + " step=" + std::to_string(step) +
                           " op=" + std::to_string(static_cast<int>(op)) +
                           " magnitude=" + std::to_string(magnitude);
-    ExpectStepResultEqual(scalar_result, lanes.result(lane), context);
-    ExpectLaneStateEqual(scalar_cell, batch_cell, context);
+    ExpectStepResultEqual(facade_result, lane_result, context);
+    ExpectLaneStateEqual(facade_cell, pack.cell(0), context);
     if (::testing::Test::HasFailure()) {
       return;  // First divergence is the interesting one.
     }
@@ -219,90 +225,105 @@ TEST(SoaKernelDiffTest, CurrentLimitClamp) {
   // Requests far beyond the datasheet current limits: the limited flag and
   // the clamped current must agree exactly.
   std::vector<BatteryParams> library = MakeBatteryLibrary();
-  Cell scalar_cell(library[4], 0.5);
-  Cell batch_cell(library[4], 0.5);
-  soa::CellLanes lanes;
-  size_t lane = lanes.AddLane(batch_cell);
+  Cell facade_cell(library[4], 0.5);
+  BatteryPack pack;
+  pack.AddCell(Cell(library[4], 0.5));
   for (int step = 0; step < 50; ++step) {
     soa::LaneOp op =
         (step % 2 == 0) ? soa::LaneOp::kDischargeCurrent : soa::LaneOp::kChargeCurrent;
     double magnitude = 1.0e4;  // Far beyond any datasheet limit.
-    StepResult scalar_result = ScalarStep(scalar_cell, op, magnitude, 1.0);
-    lanes.SetRequest(lane, op, magnitude);
-    lanes.AdvanceBatch(1.0);
-    lanes.Scatter(lane, &batch_cell);
-    ExpectStepResultEqual(scalar_result, lanes.result(lane), "current-limit step");
-    ExpectLaneStateEqual(scalar_cell, batch_cell, "current-limit step");
+    StepResult facade_result = FacadeStep(facade_cell, op, magnitude, 1.0);
+    const soa::RawStepResult& lane_result = LaneStep(pack, 0, op, magnitude, 1.0);
+    ExpectStepResultEqual(facade_result, lane_result, "current-limit step");
+    ExpectLaneStateEqual(facade_cell, pack.cell(0), "current-limit step");
   }
 }
 
 TEST(SoaKernelDiffTest, IdleLaneIsUntouched) {
-  // A kIdle lane must not move at all — no electrical, aging, or thermal
-  // drift — exactly like a scalar cell that is never stepped. This is the
-  // masking contract the fault paths rely on.
+  // A kIdle lane and an open-circuit lane must not move at all — no
+  // electrical, aging or thermal drift — exactly like a cell that is never
+  // stepped, and both read an all-zero result, not the last tick's. Only
+  // the stepped lane counts as a cell-step. This is the masking contract the
+  // fault paths rely on.
   std::vector<BatteryParams> library = MakeBatteryLibrary();
-  Cell active(library[0], 0.7);
-  Cell masked(library[0], 0.7);
-  soa::CellLanes lanes;
-  size_t active_lane = lanes.AddLane(active);
-  size_t masked_lane = lanes.AddLane(masked);
-
-  soa::LaneState before = masked.ExportLaneState();
-  for (int step = 0; step < 100; ++step) {
-    lanes.ClearRequests();
-    lanes.SetRequest(active_lane, soa::LaneOp::kDischargePower, 2.0);
-    // masked_lane stays kIdle.
-    lanes.AdvanceBatch(1.0);
+  BatteryPack pack;
+  for (int i = 0; i < 3; ++i) {
+    pack.AddCell(Cell(library[0], 0.7));
   }
-  lanes.Scatter(masked_lane, &masked);
-  soa::LaneState after = masked.ExportLaneState();
-  EXPECT_TRUE(BitEqual("soc", before.electrical.soc, after.electrical.soc));
-  EXPECT_TRUE(BitEqual("v_rc_v", before.electrical.v_rc_v, after.electrical.v_rc_v));
-  EXPECT_TRUE(BitEqual("temp_k", before.thermal.temp_k, after.thermal.temp_k));
-  EXPECT_TRUE(BitEqual("total_loss_j", before.total_loss_j, after.total_loss_j));
-  EXPECT_TRUE(
-      BitEqual("capacity_factor", before.aging.capacity_factor, after.aging.capacity_factor));
-  // The idle lane's result reads all-zero.
-  EXPECT_EQ(lanes.result(masked_lane).current_a, 0.0);
-  EXPECT_EQ(lanes.result(masked_lane).terminal_v, 0.0);
-  EXPECT_FALSE(lanes.result(masked_lane).limited);
+  // One tick with every lane stepped, so each result is non-zero; then lane
+  // 1 goes idle and lane 2 open-circuit (its request stays).
+  std::vector<soa::LaneRequest> requests(3, {soa::LaneOp::kDischargePower, 2.0});
+  pack.StepLanes(requests, Seconds(1.0));
+  ASSERT_GT(pack.lane_result(1).current_a, 0.0);
+  ASSERT_GT(pack.lane_result(2).current_a, 0.0);
+  requests[1].op = soa::LaneOp::kIdle;
+  pack.SetOpenCircuit(2, true);
+  constexpr size_t kMasked[] = {1, 2};
+  std::vector<soa::LaneState> before;
+  for (size_t lane : kMasked) {
+    before.push_back(pack.cell(lane).ExportLaneState());
+  }
+  const double active_soc = pack.cell(0).soc();
+
+  const uint64_t steps_before = soa::TotalCellSteps();
+  for (int step = 0; step < 100; ++step) {
+    pack.StepLanes(requests, Seconds(1.0));
+  }
+  EXPECT_EQ(soa::TotalCellSteps() - steps_before, 100u);
+
+  for (size_t k = 0; k < 2; ++k) {
+    const size_t lane = kMasked[k];
+    SCOPED_TRACE("lane=" + std::to_string(lane));
+    soa::LaneState after = pack.cell(lane).ExportLaneState();
+    EXPECT_TRUE(BitEqual("soc", before[k].electrical.soc, after.electrical.soc));
+    EXPECT_TRUE(BitEqual("v_rc_v", before[k].electrical.v_rc_v, after.electrical.v_rc_v));
+    EXPECT_TRUE(BitEqual("temp_k", before[k].thermal.temp_k, after.thermal.temp_k));
+    EXPECT_TRUE(BitEqual("total_loss_j", before[k].total_loss_j, after.total_loss_j));
+    EXPECT_TRUE(BitEqual("capacity_factor", before[k].aging.capacity_factor,
+                         after.aging.capacity_factor));
+    const soa::RawStepResult& result = pack.lane_result(lane);
+    EXPECT_EQ(result.current_a, 0.0);
+    EXPECT_EQ(result.terminal_v, 0.0);
+    EXPECT_EQ(result.energy_terminals_j, 0.0);
+    EXPECT_EQ(result.energy_lost_j, 0.0);
+    EXPECT_FALSE(result.limited);
+  }
   // The active lane did move.
-  EXPECT_NE(lanes.soc(active_lane), 0.7);
+  EXPECT_LT(pack.cell(0).soc(), active_soc);
+  // Reading past the last lane is a checked error in every build.
+  EXPECT_DEATH((void)pack.lane_result(3), "CHECK failed");
 }
 
 TEST(SoaKernelDiffTest, ManyLanesMatchManyScalarCells) {
-  // 32 mixed-chemistry lanes advanced in one batch vs 32 facade cells
-  // stepped one by one: order independence and per-lane isolation.
+  // 32 mixed-chemistry cells stepped by one StepLanes call per tick vs 32
+  // facade cells stepped one by one: order independence and per-lane
+  // isolation.
   std::vector<BatteryParams> library = MakeBatteryLibrary();
   constexpr int kLanes = 32;
-  std::vector<Cell> scalar_cells;
-  std::vector<Cell> batch_cells;
-  scalar_cells.reserve(kLanes);
-  batch_cells.reserve(kLanes);
-  soa::CellLanes lanes;
+  std::vector<Cell> facade_cells;
+  facade_cells.reserve(kLanes);
+  BatteryPack pack;
   for (int i = 0; i < kLanes; ++i) {
     const BatteryParams& params = library[i % library.size()];
     double soc = 0.1 + 0.8 * static_cast<double>(i) / kLanes;
-    scalar_cells.emplace_back(params, soc);
-    batch_cells.emplace_back(params, soc);
-    lanes.AddLane(batch_cells[i]);
+    facade_cells.emplace_back(params, soc);
+    pack.AddCell(Cell(params, soc));
   }
   Rng rng(0x5d0a6000u);
+  std::vector<soa::LaneRequest> requests(kLanes);
   for (int step = 0; step < 100; ++step) {
-    std::vector<soa::LaneOp> ops(kLanes);
-    std::vector<double> mags(kLanes);
     for (int i = 0; i < kLanes; ++i) {
-      ops[i] = (rng.NextBounded(2) == 0) ? soa::LaneOp::kDischargePower : soa::LaneOp::kChargePower;
-      mags[i] = rng.Uniform(0.0, 8.0);
-      lanes.SetRequest(i, ops[i], mags[i]);
+      requests[i].op =
+          (rng.NextBounded(2) == 0) ? soa::LaneOp::kDischargePower : soa::LaneOp::kChargePower;
+      requests[i].magnitude = rng.Uniform(0.0, 8.0);
     }
-    lanes.AdvanceBatch(1.0);
+    pack.StepLanes(requests, Seconds(1.0));
     for (int i = 0; i < kLanes; ++i) {
-      StepResult scalar_result = ScalarStep(scalar_cells[i], ops[i], mags[i], 1.0);
-      lanes.Scatter(i, &batch_cells[i]);
+      StepResult facade_result =
+          FacadeStep(facade_cells[i], requests[i].op, requests[i].magnitude, 1.0);
       std::string context = "lane=" + std::to_string(i) + " step=" + std::to_string(step);
-      ExpectStepResultEqual(scalar_result, lanes.result(i), context);
-      ExpectLaneStateEqual(scalar_cells[i], batch_cells[i], context);
+      ExpectStepResultEqual(facade_result, pack.lane_result(i), context);
+      ExpectLaneStateEqual(facade_cells[i], pack.cell(i), context);
     }
     if (::testing::Test::HasFailure()) {
       return;

@@ -1,10 +1,15 @@
 // The parallel sweep engine's core guarantee: RunMonteCarlo is a pure
 // function of (scenario, runs, base_seed) — the jobs knob only changes
-// wall-clock, never a single bit of the result. Exact (==) double
-// comparisons throughout are deliberate.
+// wall-clock, never a single bit of the result — and that result is the
+// serial fold of the scenario's own runs. Exact (==) double comparisons
+// throughout are deliberate.
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
+#include "src/chem/soa_kernel.h"
 #include "src/core/telemetry.h"
 #include "src/emu/monte_carlo.h"
 #include "src/emu/workload.h"
@@ -66,6 +71,61 @@ SimResult FaultedWatchScenario(uint64_t seed) {
   return sim.Run(load);
 }
 
+// Seed-varied flavour of GoldenResultsTest.FastChargeTablet, shortened to
+// one hour per run: empty tablet pack charging on a wall brick under a
+// light foreground load (both circuits active every tick).
+SimResult FastChargeTabletScenario(uint64_t seed) {
+  std::vector<Cell> cells;
+  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.05);
+  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.05);
+  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), seed);
+  SdbRuntime runtime(&micro);
+  runtime.SetChargingDirective(0.8);
+  runtime.SetDischargingDirective(0.8);
+
+  SimConfig config;
+  config.tick = Seconds(5.0);
+  config.runtime_period = Minutes(1.0);
+  config.stop_on_shortfall = false;
+  Simulator sim(&runtime, config);
+  return sim.Run(PowerTrace::Constant(Watts(2.0), Hours(1.0)),
+                 PowerTrace::Constant(Watts(30.0), Hours(1.0)));
+}
+
+// Seed-varied flavour of GoldenResultsTest.SmartwatchWeek, compressed to
+// two days + nightly recharges so aging still carries across days.
+SimResult SmartwatchWeekScenario(uint64_t seed) {
+  std::vector<Cell> cells;
+  cells.emplace_back(MakeWatchLiIon(MilliAmpHours(200.0)), 1.0);
+  cells.emplace_back(MakeType4Bendable(MilliAmpHours(200.0)), 1.0);
+  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), seed);
+  SdbRuntime runtime(&micro);
+  runtime.SetDischargingDirective(1.0);
+  runtime.SetWorkloadHint(WorkloadHint{Hours(9.0), Watts(0.70), Hours(1.0)});
+
+  SimConfig config;
+  config.tick = Seconds(10.0);
+  config.runtime_period = Minutes(10.0);
+  Simulator sim(&runtime, config);
+
+  SimResult total;
+  for (int day = 0; day < 2; ++day) {
+    SmartwatchDayConfig day_config;
+    day_config.seed = seed * 10 + static_cast<uint64_t>(day);
+    SimResult use = sim.Run(MakeSmartwatchDayTrace(day_config));
+    SimResult charge = sim.RunChargeOnly(Watts(2.5), Hours(3.0));
+    total.elapsed = total.elapsed + use.elapsed;
+    total.delivered = total.delivered + use.delivered;
+    total.battery_loss = total.battery_loss + use.battery_loss + charge.battery_loss;
+    total.circuit_loss = total.circuit_loss + use.circuit_loss + charge.circuit_loss;
+    total.final_soc = use.final_soc;
+    if (!total.first_shortfall.has_value()) {
+      total.first_shortfall = use.first_shortfall;
+    }
+  }
+  return total;
+}
+
 void ExpectBitIdentical(const MonteCarloResult& a, const MonteCarloResult& b) {
   EXPECT_EQ(a.runs, b.runs);
   EXPECT_EQ(a.shortfall_runs, b.shortfall_runs);
@@ -80,11 +140,48 @@ void ExpectBitIdentical(const MonteCarloResult& a, const MonteCarloResult& b) {
   }
 }
 
-MonteCarloResult Sweep(int runs, int jobs) {
+MonteCarloResult Sweep(int runs, int jobs, const ScenarioFn& scenario = BurstyWatchScenario) {
   MonteCarloOptions options;
   options.base_seed = 42;
   options.jobs = jobs;
-  return RunMonteCarlo(BurstyWatchScenario, runs, options);
+  return RunMonteCarlo(scenario, runs, options);
+}
+
+// The sweep with no engine: runs the scenario seed by seed on the calling
+// thread and folds the results by the reduction monte_carlo.h documents —
+// serially in seed order within each kMonteCarloShardSize-seed shard, then
+// shard by shard in seed order.
+MonteCarloResult SerialReferenceSweep(const ScenarioFn& scenario, int runs) {
+  const uint64_t base_seed = 42;  // Sweep()'s.
+  MonteCarloResult result;
+  for (int first = 0; first < runs; first += kMonteCarloShardSize) {
+    MonteCarloResult shard;
+    for (int r = first; r < std::min(runs, first + kMonteCarloShardSize); ++r) {
+      SimResult sim = scenario(base_seed + static_cast<uint64_t>(r));
+      shard.battery_life_h.Add(sim.first_shortfall.has_value() ? ToHours(*sim.first_shortfall)
+                                                               : ToHours(sim.elapsed));
+      shard.total_loss_j.Add(sim.TotalLoss().value());
+      shard.delivered_j.Add(sim.delivered.value());
+      shard.shortfall_runs += sim.first_shortfall.has_value() ? 1 : 0;
+      ++shard.runs;
+    }
+    result.battery_life_h.Merge(shard.battery_life_h);
+    result.total_loss_j.Merge(shard.total_loss_j);
+    result.delivered_j.Merge(shard.delivered_j);
+    result.shortfall_runs += shard.shortfall_runs;
+    result.runs += shard.runs;
+  }
+  return result;
+}
+
+// A sweep of `scenario` at jobs 1, 2 and 8 equals the serial reference.
+void ExpectSweepsMatchSerialReference(const ScenarioFn& scenario, int runs) {
+  MonteCarloResult reference = SerialReferenceSweep(scenario, runs);
+  EXPECT_EQ(reference.runs, runs);
+  for (int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ExpectBitIdentical(Sweep(runs, jobs, scenario), reference);
+  }
 }
 
 TEST(ParallelMonteCarloTest, ThreadCountDoesNotChangeResults) {
@@ -95,6 +192,18 @@ TEST(ParallelMonteCarloTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(serial.runs, kRuns);
   ExpectBitIdentical(serial, two);
   ExpectBitIdentical(serial, eight);
+}
+
+// The two golden scenarios, swept with every cell stepped through
+// BatteryPack::StepLanes (the batch), against the serial reference (the
+// scalar fold): the tablet keeps both circuits busy every tick and the watch
+// week carries aging across days.
+TEST(SoaMonteCarloPinTest, FastChargeTabletBatchMatchesScalarAcrossJobs) {
+  ExpectSweepsMatchSerialReference(FastChargeTabletScenario, 6);
+}
+
+TEST(SoaMonteCarloPinTest, SmartwatchWeekBatchMatchesScalarAcrossJobs) {
+  ExpectSweepsMatchSerialReference(SmartwatchWeekScenario, 4);
 }
 
 TEST(ParallelMonteCarloTest, RaggedLastShardStaysDeterministic) {
@@ -153,6 +262,15 @@ TEST(ParallelMonteCarloTest, SweepCountersObserveTheRun) {
   EXPECT_EQ(after.tasks_executed,
             before.tasks_executed + (16 + kMonteCarloShardSize - 1) / kMonteCarloShardSize);
   EXPECT_GT(after.wall.value(), before.wall.value());
+}
+
+TEST(ParallelMonteCarloTest, SweepCountsCellSteps) {
+  // bench_monte_carlo's mc_cell_steps_per_s reads the sweep's cell-step
+  // count, which must tick for the cells BatteryPack::StepLanes steps.
+  uint64_t before = soa::TotalCellSteps();
+  MonteCarloResult result = Sweep(2, 2, FastChargeTabletScenario);
+  EXPECT_GT(result.cell_steps, 0u);
+  EXPECT_GE(soa::TotalCellSteps() - before, result.cell_steps);
 }
 
 }  // namespace

@@ -1,35 +1,19 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json reports and gate throughput regressions.
+"""Validate BENCH_*.json reports.
 
 Every perf-bearing bench emits a flat JSON report via bench/bench_report.h:
 
   {"bench": "monte_carlo", "git_sha": "...", "jobs": 2, "runs": 8,
-   "reps": 3, "wall_s": 0.7, "metrics": {"cell_steps_per_s": 3.1e7, ...}}
+   "reps": 3, "wall_s": 0.7, "metrics": {"mc_cell_steps_per_s": 2.0e6, ...}}
 
-Schema mode (no --baseline) checks the report is well-formed: every
-top-level key present with the right type, every metric a finite number,
-and — for benches that declare required metrics below — the headline
-metrics present and positive.
-
-Gate mode (--baseline) additionally compares the candidate against a
-checked-in baseline report (bench/baselines/): for each gated metric the
-candidate must reach at least (1 - threshold) of the baseline value.
-The default gated metric is `batch_speedup`, the in-process batch/scalar
-ratio, because it is machine-portable: both sides of the ratio are
-measured in the same process on the same machine, so a CI runner that is
-2x slower than the baseline machine still reproduces the ratio, while
-absolute cell-steps/s would flag every hardware change as a regression
-(DESIGN.md section 12). Gate absolute metrics with --gate only when the
-baseline was produced on the same hardware.
+The check is structural: every top-level key present with the right type,
+every metric a finite number, and — for benches that declare required
+metrics below — the headline metrics present and positive. Throughput is
+gated elsewhere: CI's digest-pin job compares perfbench runs of the
+merge-base and HEAD on one runner.
 
 Usage:
-  check_bench_json.py BENCH_monte_carlo.json --schema-only
-  check_bench_json.py BENCH_monte_carlo.json --baseline bench/baselines/BENCH_monte_carlo.json \
-      [--threshold 0.10] [--gate batch_speedup] [--gate cell_steps_per_s]
-
---schema-only makes schema mode explicit (fixture smoke tests use it) and
-refuses to combine with --baseline so a gating invocation cannot silently
-degrade into a schema check.
+  check_bench_json.py BENCH_monte_carlo.json
 """
 
 import argparse
@@ -39,8 +23,7 @@ import sys
 
 # Metrics that must be present and strictly positive, per bench id.
 REQUIRED_METRICS = {
-    "monte_carlo": ["cell_steps_per_s", "scalar_cell_steps_per_s", "batch_speedup",
-                    "mc_cell_steps_per_s"],
+    "monte_carlo": ["mc_cell_steps_per_s"],
     "weekly_wear": [],
     "fig13_smartwatch": [],
 }
@@ -99,50 +82,12 @@ def check_schema(doc, path):
           f"(bench={doc['bench']}, {len(doc['metrics'])} metrics)")
 
 
-def check_gates(candidate, baseline, gates, threshold, cand_path, base_path):
-    if candidate["bench"] != baseline["bench"]:
-        fail(f"bench mismatch: candidate '{candidate['bench']}' vs "
-             f"baseline '{baseline['bench']}'")
-    failed = []
-    for gate in gates:
-        base = baseline["metrics"].get(gate)
-        cand = candidate["metrics"].get(gate)
-        if base is None:
-            fail(f"{base_path}: baseline has no metric '{gate}'")
-        if cand is None:
-            fail(f"{cand_path}: candidate has no metric '{gate}'")
-        floor = base * (1.0 - threshold)
-        verdict = "OK" if cand >= floor else "REGRESSED"
-        print(f"check_bench_json: {gate}: candidate {cand:.6g} vs baseline {base:.6g} "
-              f"(floor {floor:.6g}, threshold {threshold:.0%}) {verdict}")
-        if cand < floor:
-            failed.append(gate)
-    if failed:
-        fail(f"regressed metrics: {', '.join(failed)}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("report", help="candidate BENCH_*.json")
-    parser.add_argument("--baseline", help="checked-in baseline BENCH_*.json to gate against")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="allowed fractional drop vs baseline (default 0.10)")
-    parser.add_argument("--gate", action="append", default=[],
-                        help="metric to gate (repeatable; default: batch_speedup)")
-    parser.add_argument("--schema-only", action="store_true",
-                        help="validate the report shape only; rejects --baseline")
+    parser.add_argument("report", help="BENCH_*.json report to validate")
     args = parser.parse_args()
-
-    if args.schema_only and args.baseline:
-        parser.error("--schema-only and --baseline are mutually exclusive")
-    candidate = load(args.report)
-    check_schema(candidate, args.report)
-    if args.baseline:
-        baseline = load(args.baseline)
-        check_schema(baseline, args.baseline)
-        gates = args.gate or ["batch_speedup"]
-        check_gates(candidate, baseline, gates, args.threshold, args.report, args.baseline)
+    check_schema(load(args.report), args.report)
     print("check_bench_json: PASS")
 
 

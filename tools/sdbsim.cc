@@ -13,7 +13,9 @@
 //   sdbsim plan-charge --battery high-energy:4000 --soc 0.2 --deadline-hours 8
 //   sdbsim sweep --battery fast:4000 --battery high-energy:4000
 //          --load-watts 8 --hours 4 --runs 64 --jobs 4
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -223,6 +225,19 @@ bool ParseIntFlag(const std::string& flag, const char* value, int* out) {
   return true;
 }
 
+// Seeds are unsigned 64-bit; a sign or any trailing text is a usage error.
+bool ParseSeedFlag(const std::string& flag, const char* value, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "sdbsim: %s wants an unsigned integer, got '%s'\n", flag.c_str(), value);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 std::optional<Args> ParseArgs(int argc, char** argv) {
   Args args;
   if (argc < 2) {
@@ -280,10 +295,10 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       }
     } else if (flag == "--soc") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.soc = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.soc)) return std::nullopt;
     } else if (flag == "--load-watts") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.load_watts = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.load_watts)) return std::nullopt;
     } else if (flag == "--hours") {
       if ((value = next()) == nullptr) return std::nullopt;
       if (!ParseDoubleFlag(flag, value, &args.hours)) return std::nullopt;
@@ -296,46 +311,51 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       args.trace_path = value;
     } else if (flag == "--supply-watts") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.supply_watts = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.supply_watts)) return std::nullopt;
     } else if (flag == "--tick") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.tick_s = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.tick_s)) return std::nullopt;
+      if (!(args.tick_s > 0.0) || !std::isfinite(args.tick_s)) {
+        std::fprintf(stderr, "sdbsim: --tick wants a positive number of seconds, got '%s'\n",
+                     value);
+        return std::nullopt;
+      }
     } else if (flag == "--discharge-directive") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.discharge_directive = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.discharge_directive)) return std::nullopt;
     } else if (flag == "--charge-directive") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.charge_directive = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.charge_directive)) return std::nullopt;
     } else if (flag == "--deadline-hours") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.deadline_hours = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.deadline_hours)) return std::nullopt;
     } else if (flag == "--target-soc") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.target_soc = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.target_soc)) return std::nullopt;
     } else if (flag == "--hourly-csv") {
       if ((value = next()) == nullptr) return std::nullopt;
       args.hourly_csv = value;
     } else if (flag == "--seed") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.seed = static_cast<uint64_t>(std::atoll(value));
+      if (!ParseSeedFlag(flag, value, &args.seed)) return std::nullopt;
     } else if (flag == "--runs") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.runs = std::atoi(value);
+      if (!ParseIntFlag(flag, value, &args.runs)) return std::nullopt;
     } else if (flag == "--jobs") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.jobs = std::atoi(value);
+      if (!ParseIntFlag(flag, value, &args.jobs)) return std::nullopt;
     } else if (flag == "--schedules") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.schedules = std::atoi(value);
+      if (!ParseIntFlag(flag, value, &args.schedules)) return std::nullopt;
     } else if (flag == "--period") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.period_min = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.period_min)) return std::nullopt;
     } else if (flag == "--checkpoint-period") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.checkpoint_min = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.checkpoint_min)) return std::nullopt;
     } else if (flag == "--max-crashes") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.max_crashes = std::atoi(value);
+      if (!ParseIntFlag(flag, value, &args.max_crashes)) return std::nullopt;
     } else if (flag == "--corpus") {
       if ((value = next()) == nullptr) return std::nullopt;
       args.crash_corpus = value;
@@ -384,7 +404,7 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       args.timeline_out = value;
     } else if (flag == "--timeline-period") {
       if ((value = next()) == nullptr) return std::nullopt;
-      args.timeline_period_s = std::atof(value);
+      if (!ParseDoubleFlag(flag, value, &args.timeline_period_s)) return std::nullopt;
     } else if (flag == "--kind") {
       if ((value = next()) == nullptr) return std::nullopt;
       args.kind_filter = value;
