@@ -15,7 +15,7 @@
 
 #include "src/chem/library.h"
 #include "src/core/runtime.h"
-#include "src/core/telemetry.h"
+#include "src/emu/monte_carlo.h"
 #include "src/emu/simulator.h"
 #include "src/hw/microcontroller.h"
 #include "src/obs/metrics.h"
@@ -91,27 +91,28 @@ inline int ParseJobs(int argc, char** argv) {
   return ThreadPool::DefaultThreadCount();
 }
 
-// ParallelFor that also lands in the global SweepCounters, so bench sweeps
-// show up in the telemetry dump alongside RunMonteCarlo's own records.
+// ParallelFor that also lands in the "sdb.sweep.*" metrics, so bench sweeps
+// show up in the engine line alongside RunMonteCarlo's own records.
 inline void SweepParallelFor(ThreadPool* pool, int64_t n,
                              const std::function<void(int64_t)>& fn) {
   obs::Stopwatch stopwatch;
   Duration wait_before = pool != nullptr ? pool->stats().worker_wait : Seconds(0.0);
   ParallelFor(pool, n, fn);
   Duration wait_after = pool != nullptr ? pool->stats().worker_wait : Seconds(0.0);
-  SweepCounters::Global().RecordSweep(static_cast<uint64_t>(n), static_cast<uint64_t>(n),
-                                      wait_after - wait_before,
-                                      Seconds(stopwatch.ElapsedSeconds()));
+  RecordSweep(static_cast<uint64_t>(n), static_cast<uint64_t>(n), wait_after - wait_before,
+              Seconds(stopwatch.ElapsedSeconds()));
 }
 
 // Dumps the engine counters accumulated so far (tasks, pool wait, wall
 // clock) so sweep speedups show up in the bench output itself.
 inline void PrintSweepTelemetry(std::ostream& os, int jobs) {
-  SweepCounterSnapshot snap = SweepCounters::Global().Snapshot();
-  os << "  sweep engine: " << jobs << " jobs, " << snap.sweeps << " sweeps, "
-     << snap.runs_executed << " runs in " << snap.tasks_executed << " shard tasks; wall "
-     << TextTable::Num(snap.wall.value(), 2) << " s, worker wait "
-     << TextTable::Num(snap.worker_wait.value(), 2) << " s\n";
+  // A local copy, so operator[] reads 0 for metrics no sweep registered yet.
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  os << "  sweep engine: " << jobs << " jobs, " << snap.counters["sdb.sweep.sweeps"]
+     << " sweeps, " << snap.counters["sdb.sweep.runs_executed"] << " runs in "
+     << snap.counters["sdb.sweep.tasks_executed"] << " shard tasks; wall "
+     << TextTable::Num(snap.gauges["sdb.sweep.wall_s"], 2) << " s, worker wait "
+     << TextTable::Num(snap.gauges["sdb.sweep.worker_wait_s"], 2) << " s\n";
 }
 
 // `--metrics-out PATH` flag: where to dump the process-wide metrics

@@ -20,7 +20,7 @@ namespace {
 // Registry mirrors of ResilienceCounters: every increment of the per-runtime
 // struct also lands on the process-wide "sdb.runtime.*" metrics, so health
 // is visible through MetricsRegistry::Snapshot() without holding a runtime
-// pointer. The legacy struct stays the per-instance view.
+// pointer. The struct stays the per-instance view.
 struct ResilienceMetrics {
   obs::Counter* link_retries;
   obs::Counter* link_failures;
@@ -460,22 +460,6 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
                             blended_charge_.weight());
       last_charge_ratios_ = c;
     }
-  }
-
-  if (telemetry_ != nullptr) {
-    TelemetrySample sample;
-    sample.time = elapsed_;
-    sample.directives = directives();
-    sample.discharge_ratios = last_discharge_ratios_;
-    sample.charge_ratios = last_charge_ratios_;
-    sample.ccb = last_ccb_;
-    sample.rbl = last_rbl_;
-    sample.soc.reserve(views.size());
-    for (const BatteryView& v : views) {
-      sample.soc.push_back(v.soc);
-    }
-    sample.degraded = degraded_;
-    telemetry_->Record(std::move(sample));
   }
 
   // Absorb resync handshakes the link client ran transparently this Update.

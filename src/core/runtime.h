@@ -15,7 +15,6 @@
 #include "src/core/ccb_policy.h"
 #include "src/core/metrics.h"
 #include "src/core/policy_db.h"
-#include "src/core/telemetry.h"
 #include "src/core/rbl_policy.h"
 #include "src/core/workload_aware.h"
 #include "src/hw/microcontroller.h"
@@ -23,6 +22,22 @@
 namespace sdb {
 
 class CommandLinkClient;
+
+// Counters for the runtime's fault-resilience machinery, cumulative over the
+// runtime's lifetime, so a test (or an OS health daemon) can assert "the
+// link flaked N times and we recovered" without replaying the journal.
+struct ResilienceCounters {
+  uint64_t link_retries = 0;     // Query retries attempted after a link error.
+  uint64_t link_failures = 0;    // Roundtrips that exhausted every retry.
+  uint64_t stale_updates = 0;    // Updates planned from cached status.
+  uint64_t degraded_entries = 0; // Transitions healthy -> degraded.
+  uint64_t degraded_exits = 0;   // Transitions degraded -> healthy.
+  uint64_t masked_faults = 0;    // Battery-updates with a fault masked out.
+  uint64_t quarantines = 0;      // Batteries newly excluded from planning.
+  uint64_t reintegrations = 0;   // Batteries returned to the allocation.
+  uint64_t resyncs = 0;          // Post-reboot handshakes completed.
+  Duration backoff_total;        // Simulated time spent in retry backoff.
+};
 
 struct RuntimeConfig {
   DirectiveParameters directives;  // Initial charge/discharge directives.
@@ -118,11 +133,6 @@ class SdbRuntime {
   // Passthrough for battery-to-battery transfers.
   [[nodiscard]] Status RequestTransfer(size_t from, size_t to, Power power, Duration duration);
 
-  // Optional observability: when attached, every Update() appends a sample
-  // (timestamped by AdvanceTime's clock). `recorder` must outlive the
-  // runtime or be detached with nullptr.
-  void AttachTelemetry(TelemetryRecorder* recorder) { telemetry_ = recorder; }
-
   // Routes the four SDB APIs over a serial command link instead of direct
   // calls, which brings the link's failure modes (timeouts, corrupt
   // replies) into scope: queries retry with backoff and fall back to the
@@ -196,7 +206,6 @@ class SdbRuntime {
 
   double last_ccb_ = 1.0;
   Energy last_rbl_ = Joules(0.0);
-  TelemetryRecorder* telemetry_ = nullptr;
   DischargePolicy* discharge_override_ = nullptr;
   std::function<void(Duration)> override_advance_;
   Duration elapsed_ = Seconds(0.0);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/chem/soa_kernel.h"
-#include "src/core/telemetry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -91,8 +90,8 @@ MonteCarloResult RunMonteCarlo(const ScenarioFn& scenario, int runs,
   result.cell_steps = soa::TotalCellSteps() - cell_steps_before;
   result.cell_steps_per_s =
       wall.value() > 0.0 ? static_cast<double>(result.cell_steps) / wall.value() : 0.0;
-  SweepCounters::Global().RecordSweep(static_cast<uint64_t>(num_shards),
-                                      static_cast<uint64_t>(runs), worker_wait, wall);
+  RecordSweep(static_cast<uint64_t>(num_shards), static_cast<uint64_t>(runs), worker_wait,
+              wall);
   return result;
 }
 
@@ -100,6 +99,15 @@ MonteCarloResult RunMonteCarlo(const ScenarioFn& scenario, int runs, uint64_t ba
   MonteCarloOptions options;
   options.base_seed = base_seed;
   return RunMonteCarlo(scenario, runs, options);
+}
+
+void RecordSweep(uint64_t tasks, uint64_t runs, Duration worker_wait, Duration wall) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("sdb.sweep.sweeps")->Increment();
+  registry.GetCounter("sdb.sweep.tasks_executed")->Increment(tasks);
+  registry.GetCounter("sdb.sweep.runs_executed")->Increment(runs);
+  registry.GetGauge("sdb.sweep.worker_wait_s")->Add(worker_wait.value());
+  registry.GetGauge("sdb.sweep.wall_s")->Add(wall.value());
 }
 
 }  // namespace sdb

@@ -59,6 +59,13 @@ MonteCarloResult RunMonteCarlo(const ScenarioFn& scenario, int runs,
 // Serial-compatible shorthand (jobs = 1).
 MonteCarloResult RunMonteCarlo(const ScenarioFn& scenario, int runs, uint64_t base_seed = 1);
 
+// Adds one sweep to the process-wide "sdb.sweep.*" metrics (sweeps,
+// tasks_executed, runs_executed, worker_wait_s, wall_s), so the execution
+// engine's own cost is observable next to its results. RunMonteCarlo calls
+// it once per sweep; other parallel sweep loops (the bench harnesses') call
+// it too. Thread-safe.
+void RecordSweep(uint64_t tasks, uint64_t runs, Duration worker_wait, Duration wall);
+
 }  // namespace sdb
 
 #endif  // SRC_EMU_MONTE_CARLO_H_

@@ -1,5 +1,7 @@
 #include "src/core/runtime.h"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,42 @@ TEST(RuntimeTest, UpdateProgramsRatios) {
                                runtime.last_discharge_ratios().end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 1e-9);
   EXPECT_EQ(micro.discharge_ratios(), runtime.last_discharge_ratios());
+}
+
+// The policy is stable under constant load: on a 2-battery, 6 W half-hour
+// run no battery's discharge ratio swings by 0.5 or more between
+// consecutive replans. The post-allocate barrier fires once per replan.
+TEST(RuntimeTest, DischargeRatiosStayStableAcrossReplansUnderConstantLoad) {
+  std::vector<Cell> cells;
+  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 1.0);
+  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 1.0);
+  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), 5);
+  SdbRuntime runtime(&micro);
+
+  std::vector<std::vector<double>> replans;
+  SimConfig sim_config;
+  sim_config.tick = Seconds(5.0);
+  sim_config.runtime_period = Minutes(1.0);
+  sim_config.on_barrier = [&](CrashBarrier barrier, Duration) {
+    if (barrier == CrashBarrier::kPostAllocate) {
+      replans.push_back(runtime.last_discharge_ratios());
+    }
+    return true;
+  };
+  Simulator sim(&runtime, sim_config);
+  sim.Run(PowerTrace::Constant(Watts(6.0), Minutes(30.0)));
+
+  // One replan per minute of the 30-minute run.
+  EXPECT_NEAR(replans.size(), 30, 2);
+  double swing = 0.0;
+  for (size_t i = 1; i < replans.size(); ++i) {
+    ASSERT_EQ(replans[i].size(), 2u);
+    ASSERT_EQ(replans[i - 1].size(), 2u);
+    for (size_t b = 0; b < 2; ++b) {
+      swing = std::max(swing, std::fabs(replans[i][b] - replans[i - 1][b]));
+    }
+  }
+  EXPECT_LT(swing, 0.5);
 }
 
 TEST(RuntimeTest, ViewsReflectGaugeState) {
@@ -246,8 +284,6 @@ TEST(RuntimeResilienceTest, StaleStatusServesFromCacheThenDegrades) {
   SdbRuntime runtime(&micro, config);
   FlakyLink link(&micro);
   runtime.AttachLink(&link.client);
-  TelemetryRecorder telemetry;
-  runtime.AttachTelemetry(&telemetry);
 
   // One healthy update seeds the cache. Capture what the link actually
   // programmed (the wire encoding quantises, so compare against the
@@ -264,7 +300,6 @@ TEST(RuntimeResilienceTest, StaleStatusServesFromCacheThenDegrades) {
   // A third stale update crosses the tolerance: degraded mode.
   EXPECT_TRUE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
   EXPECT_TRUE(runtime.degraded());
-  EXPECT_TRUE(telemetry.latest().degraded);
   const ResilienceCounters& res = runtime.resilience();
   EXPECT_EQ(res.stale_updates, 3u);
   EXPECT_EQ(res.degraded_entries, 1u);
@@ -276,7 +311,6 @@ TEST(RuntimeResilienceTest, StaleStatusServesFromCacheThenDegrades) {
   ASSERT_TRUE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
   EXPECT_FALSE(runtime.degraded());
   EXPECT_EQ(runtime.resilience().degraded_exits, 1u);
-  EXPECT_FALSE(telemetry.latest().degraded);
 }
 
 TEST(RuntimeResilienceTest, SafetyFaultedBatteryIsExcludedFromTheSplit) {

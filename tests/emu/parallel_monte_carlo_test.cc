@@ -4,16 +4,19 @@
 // serial fold of the scenario's own runs. Exact (==) double comparisons
 // throughout are deliberate.
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
 #include "src/chem/soa_kernel.h"
-#include "src/core/telemetry.h"
 #include "src/emu/monte_carlo.h"
 #include "src/emu/workload.h"
 #include "src/hw/fault.h"
+#include "src/obs/metrics.h"
 
 namespace sdb {
 namespace {
@@ -254,14 +257,17 @@ TEST(ParallelMonteCarloTest, FaultInjectionStaysBitIdenticalAcrossJobs) {
 }
 
 TEST(ParallelMonteCarloTest, SweepCountersObserveTheRun) {
-  SweepCounterSnapshot before = SweepCounters::Global().Snapshot();
+  obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   (void)Sweep(16, 4);
-  SweepCounterSnapshot after = SweepCounters::Global().Snapshot();
-  EXPECT_EQ(after.sweeps, before.sweeps + 1);
-  EXPECT_EQ(after.runs_executed, before.runs_executed + 16);
-  EXPECT_EQ(after.tasks_executed,
-            before.tasks_executed + (16 + kMonteCarloShardSize - 1) / kMonteCarloShardSize);
-  EXPECT_GT(after.wall.value(), before.wall.value());
+  obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  // Copies, so operator[] reads 0 for a metric the first sweep registers.
+  EXPECT_EQ(after.counters["sdb.sweep.sweeps"], before.counters["sdb.sweep.sweeps"] + 1);
+  EXPECT_EQ(after.counters["sdb.sweep.runs_executed"],
+            before.counters["sdb.sweep.runs_executed"] + 16);
+  EXPECT_EQ(after.counters["sdb.sweep.tasks_executed"],
+            before.counters["sdb.sweep.tasks_executed"] +
+                (16 + kMonteCarloShardSize - 1) / kMonteCarloShardSize);
+  EXPECT_GT(after.gauges["sdb.sweep.wall_s"], before.gauges["sdb.sweep.wall_s"]);
 }
 
 TEST(ParallelMonteCarloTest, SweepCountsCellSteps) {
@@ -271,6 +277,66 @@ TEST(ParallelMonteCarloTest, SweepCountsCellSteps) {
   MonteCarloResult result = Sweep(2, 2, FastChargeTabletScenario);
   EXPECT_GT(result.cell_steps, 0u);
   EXPECT_GE(soa::TotalCellSteps() - before, result.cell_steps);
+}
+
+TEST(SweepCountersTest, RecordsAndResets) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ResetForTest();
+  RecordSweep(/*tasks=*/4, /*runs=*/16, /*worker_wait=*/Seconds(0.25), /*wall=*/Seconds(1.5));
+  RecordSweep(/*tasks=*/2, /*runs=*/8, /*worker_wait=*/Seconds(0.5), /*wall=*/Seconds(0.5));
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("sdb.sweep.sweeps"), 2u);
+  EXPECT_EQ(snap.counters.at("sdb.sweep.tasks_executed"), 6u);
+  EXPECT_EQ(snap.counters.at("sdb.sweep.runs_executed"), 24u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("sdb.sweep.worker_wait_s"), 0.75);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("sdb.sweep.wall_s"), 2.0);
+
+  registry.ResetForTest();
+  EXPECT_EQ(registry.Snapshot().counters.at("sdb.sweep.tasks_executed"), 0u);
+}
+
+// Sweeps on different pools all report into the process-wide metrics while
+// health consumers snapshot them; this races writers against a reader so
+// the TSan CI job proves RecordSweep's registry updates are data-race free.
+TEST(SweepCountersTest, ConcurrentRecordSweepAndSnapshot) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ResetForTest();
+  constexpr uint64_t kWriters = 4;
+  constexpr uint64_t kPerWriter = 2000;
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&registry, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      obs::MetricsSnapshot snap = registry.Snapshot();
+      // The five metrics are independent relaxed atomics, so mid-record
+      // snapshots may be skewed across fields; per-field bounds still hold.
+      EXPECT_LE(snap.counters["sdb.sweep.sweeps"], kWriters * kPerWriter);
+      EXPECT_LE(snap.counters["sdb.sweep.tasks_executed"], kWriters * kPerWriter * 2);
+      EXPECT_GE(snap.gauges["sdb.sweep.worker_wait_s"], 0.0);
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        RecordSweep(/*tasks=*/2, /*runs=*/8, /*worker_wait=*/Seconds(1e-4),
+                    /*wall=*/Seconds(2e-4));
+      }
+    });
+  }
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  const uint64_t sweeps = snap.counters.at("sdb.sweep.sweeps");
+  EXPECT_EQ(sweeps, kWriters * kPerWriter);
+  EXPECT_EQ(snap.counters.at("sdb.sweep.tasks_executed"), sweeps * 2);
+  EXPECT_EQ(snap.counters.at("sdb.sweep.runs_executed"), sweeps * 8);
+  EXPECT_NEAR(snap.gauges.at("sdb.sweep.worker_wait_s"), sweeps * 1e-4, 1e-6);
 }
 
 }  // namespace

@@ -13,14 +13,15 @@
 //   sdbsim plan-charge --battery high-energy:4000 --soc 0.2 --deadline-hours 8
 //   sdbsim sweep --battery fast:4000 --battery high-energy:4000
 //          --load-watts 8 --hours 4 --runs 64 --jobs 4
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -33,7 +34,6 @@
 #include "src/core/charge_planner.h"
 #include "src/core/optimizer.h"
 #include "src/core/runtime.h"
-#include "src/core/telemetry.h"
 #include "src/emu/fuzz.h"
 #include "src/emu/monte_carlo.h"
 #include "src/emu/scenario_pack.h"
@@ -59,43 +59,119 @@ namespace {
 
 using namespace sdb;
 
-// --- Battery registry --------------------------------------------------------
+// --- Strict operand parsers ---------------------------------------------------
+//
+// The whole text must parse, so a typo such as `--max-loss-pct abc` is a
+// usage error rather than atof's silent 0. `what` names the operand in the
+// one-line error. The flag table below and the fields inside compound
+// operands (--fault, --param, --battery NAME:MAH, pack-file SoCs) share them.
 
-using Factory = BatteryParams (*)(Charge);
+// `positive_unit`, when set, also demands a positive, finite number and
+// names what it counts in the range error.
+bool ParseNumber(const std::string& what, const std::string& text, double* out,
+                 const char* positive_unit = nullptr) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') {
+    std::fprintf(stderr, "sdbsim: %s wants a number, got '%s'\n", what.c_str(), text.c_str());
+    return false;
+  }
+  if (positive_unit != nullptr && (!(parsed > 0.0) || !std::isfinite(parsed))) {
+    std::fprintf(stderr, "sdbsim: %s wants a positive number of %s, got '%s'\n", what.c_str(),
+                 positive_unit, text.c_str());
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool ParseInt(const std::string& what, const std::string& text, bool positive, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "sdbsim: %s wants an integer, got '%s'\n", what.c_str(), text.c_str());
+    return false;
+  }
+  if (positive && parsed <= 0) {
+    std::fprintf(stderr, "sdbsim: %s wants a positive integer, got '%s'\n", what.c_str(),
+                 text.c_str());
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
+// Seeds are unsigned 64-bit; a sign or any trailing text is a usage error.
+bool ParseSeed(const std::string& what, const std::string& text, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "sdbsim: %s wants an unsigned integer, got '%s'\n", what.c_str(),
+                 text.c_str());
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+// Splits "a:b:c" at every `sep`; an empty field stays an empty string.
+std::vector<std::string> Split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  size_t pos = 0;
+  for (size_t at = text.find(sep); at != std::string::npos; at = text.find(sep, pos)) {
+    parts.push_back(text.substr(pos, at - pos));
+    pos = at + 1;
+  }
+  parts.push_back(text.substr(pos));
+  return parts;
+}
+
+// --- Battery registry --------------------------------------------------------
 
 BatteryParams MakeType2Default(Charge c) { return MakeType2Standard(c, 0); }
 BatteryParams MakeType3Default(Charge c) { return MakeType3FastCharge(c, 0); }
 BatteryParams MakeType4Default(Charge c) { return MakeType4Bendable(c, 0); }
 
-const std::map<std::string, Factory>& Registry() {
-  static const std::map<std::string, Factory> kRegistry = {
-      {"type1", MakeType1PowerCell},     {"type2", MakeType2Default},
-      {"type3", MakeType3Default},       {"type4", MakeType4Default},
-      {"fast", MakeFastChargeTablet},    {"high-energy", MakeHighEnergyTablet},
-      {"watch", MakeWatchLiIon},         {"bendable", MakeType4Default},
-      {"2in1-internal", MakeTwoInOneInternal}, {"2in1-external", MakeTwoInOneExternal},
-  };
-  return kRegistry;
-}
+// The names --battery accepts, in `sdbsim list` order.
+struct BatteryType {
+  const char* name;
+  BatteryParams (*make)(Charge);
+  const char* chemistry;
+  const char* character;
+};
 
-// Parses "name:mah" into battery params.
+const BatteryType kBatteryTypes[] = {
+    {"type1", MakeType1PowerCell, "LiFePO4", "power-tool cell: 10C discharge, 2000 cycles"},
+    {"type2", MakeType2Default, "CoO2 standard", "everyday mobile cell"},
+    {"type3", MakeType3Default, "CoO2 fast-charge", "3C charge, lower energy density"},
+    {"type4", MakeType4Default, "ceramic bendable", "flexible, ohm-scale resistance"},
+    {"fast", MakeFastChargeTablet, "CoO2 fast-charge", "tablet fast-charging cell (Fig. 11)"},
+    {"high-energy", MakeHighEnergyTablet, "CoO2 standard", "595 Wh/l tablet cell (Fig. 11)"},
+    {"watch", MakeWatchLiIon, "CoO2 standard", "small rigid watch cell (Fig. 13)"},
+    {"bendable", MakeType4Default, "ceramic bendable", "strap battery (Fig. 13)"},
+    {"2in1-internal", MakeTwoInOneInternal, "CoO2 standard", "tablet-side battery (Fig. 14)"},
+    {"2in1-external", MakeTwoInOneExternal, "CoO2 standard", "keyboard-base battery (Fig. 14)"},
+};
+
+// Parses "name[:mah]" into battery params.
 std::optional<BatteryParams> ParseBatterySpec(const std::string& spec) {
   size_t colon = spec.find(':');
-  std::string name = colon == std::string::npos ? spec : spec.substr(0, colon);
+  std::string name = spec.substr(0, colon);
   double mah = 3000.0;
-  if (colon != std::string::npos) {
-    mah = std::atof(spec.substr(colon + 1).c_str());
-    if (mah <= 0.0) {
-      std::fprintf(stderr, "sdbsim: invalid capacity in '%s'\n", spec.c_str());
-      return std::nullopt;
-    }
-  }
-  auto it = Registry().find(name);
-  if (it == Registry().end()) {
-    std::fprintf(stderr, "sdbsim: unknown battery '%s' (try `sdbsim list`)\n", name.c_str());
+  if (colon != std::string::npos &&
+      !ParseNumber("capacity in '" + spec + "'", spec.substr(colon + 1), &mah, "mAh")) {
     return std::nullopt;
   }
-  return it->second(MilliAmpHours(mah));
+  for (const BatteryType& type : kBatteryTypes) {
+    if (name == type.name) {
+      return type.make(MilliAmpHours(mah));
+    }
+  }
+  std::fprintf(stderr, "sdbsim: unknown battery '%s' (try `sdbsim list`)\n", name.c_str());
+  return std::nullopt;
 }
 
 // --- Fault specs --------------------------------------------------------------
@@ -104,49 +180,38 @@ std::optional<BatteryParams> ParseBatterySpec(const std::string& spec) {
 // Kinds are the taxonomy's kebab-case names (see FaultClassName); the
 // thermal-trip magnitude is given in degrees Celsius for convenience.
 std::optional<FaultEvent> ParseFaultSpec(const std::string& spec) {
-  std::vector<std::string> parts;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t colon = spec.find(':', pos);
-    if (colon == std::string::npos) {
-      parts.push_back(spec.substr(pos));
-      break;
-    }
-    parts.push_back(spec.substr(pos, colon - pos));
-    pos = colon + 1;
-  }
+  std::vector<std::string> parts = Split(spec, ':');
   if (parts.size() < 3 || parts.size() > 6) {
     std::fprintf(stderr, "sdbsim: bad fault spec '%s'\n", spec.c_str());
     return std::nullopt;
   }
-  std::optional<FaultClass> kind;
-  for (FaultClass candidate : kAllFaultClasses) {
-    if (FaultClassName(candidate) == parts[0]) {
-      kind = candidate;
-    }
-  }
-  if (!kind.has_value()) {
+  const FaultClass* kind =
+      std::find_if(std::begin(kAllFaultClasses), std::end(kAllFaultClasses),
+                   [&parts](FaultClass c) { return FaultClassName(c) == parts[0]; });
+  if (kind == std::end(kAllFaultClasses)) {
     std::fprintf(stderr, "sdbsim: unknown fault kind '%s'\n", parts[0].c_str());
     return std::nullopt;
   }
   FaultEvent event;
   event.kind = *kind;
-  event.start = Hours(std::atof(parts[1].c_str()));
-  event.end = Hours(std::atof(parts[2].c_str()));
-  if (parts.size() > 3) {
-    event.battery = std::atoi(parts[3].c_str());
+  const std::string what = "--fault '" + spec + "' ";
+  double start_h = 0.0;
+  double end_h = 0.0;
+  if (!ParseNumber(what + "start", parts[1], &start_h) ||
+      !ParseNumber(what + "end", parts[2], &end_h) ||
+      (parts.size() > 3 && !ParseInt(what + "battery", parts[3], false, &event.battery)) ||
+      (parts.size() > 4 && !ParseNumber(what + "magnitude", parts[4], &event.magnitude)) ||
+      (parts.size() > 5 && !ParseNumber(what + "probability", parts[5], &event.probability))) {
+    return std::nullopt;
   }
-  if (parts.size() > 4) {
-    event.magnitude = std::atof(parts[4].c_str());
-    if (event.kind == FaultClass::kThermalTrip) {
-      event.magnitude = Celsius(event.magnitude).value();
-    }
+  event.start = Hours(start_h);
+  event.end = Hours(end_h);
+  if (parts.size() > 4 && event.kind == FaultClass::kThermalTrip) {
+    event.magnitude = Celsius(event.magnitude).value();
   }
-  if (parts.size() > 5) {
-    event.probability = std::atof(parts[5].c_str());
-  }
-  if (event.end < event.start) {
-    std::fprintf(stderr, "sdbsim: fault '%s' ends before it starts\n", spec.c_str());
+  if (event.end < event.start || !(event.probability >= 0.0 && event.probability <= 1.0)) {
+    std::fprintf(stderr, "sdbsim: fault '%s' wants START_H <= END_H and PROB in [0, 1]\n",
+                 spec.c_str());
     return std::nullopt;
   }
   return event;
@@ -157,7 +222,8 @@ std::optional<FaultEvent> ParseFaultSpec(const std::string& spec) {
 struct Args {
   std::string command;
   std::vector<std::string> batteries;
-  std::vector<double> battery_socs;  // Parallel to `batteries`; -1 = default.
+  // Pack-file SoCs, parallel to `batteries`; -1 or past the end = default.
+  std::vector<double> battery_socs;
   double load_watts = 0.0;
   double hours = 0.0;
   std::string trace_path;
@@ -200,42 +266,131 @@ struct Args {
   std::string kind_filter;   // --kind KIND event filter for `blackbox`.
 };
 
-// Strict numeric operands: the whole value must parse, so a typo such as
-// `--max-loss-pct abc` is a usage error rather than atof's silent 0.
-bool ParseDoubleFlag(const std::string& flag, const char* value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "sdbsim: %s wants a number, got '%s'\n", flag.c_str(), value);
+// Pack file: one battery per line, "name[:mah][:soc]"; '#' comments. Each
+// line joins `batteries`, its SoC (when given) the parallel `battery_socs`.
+bool ReadPackFile(const std::string& path, Args* args) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "sdbsim: cannot open pack file '%s'\n", path.c_str());
     return false;
+  }
+  // --battery entries before this file keep the default SoC.
+  args->battery_socs.resize(args->batteries.size(), -1.0);
+  std::string line;
+  while (std::getline(in, line)) {
+    size_t start = line.find_first_not_of(" \t\r");
+    if (start == std::string::npos || line[start] == '#') {
+      continue;
+    }
+    line = line.substr(start, line.find_last_not_of(" \t\r") + 1 - start);
+    // Split off an optional trailing :soc (second colon).
+    double soc = -1.0;
+    size_t first = line.find(':');
+    size_t second = first == std::string::npos ? std::string::npos
+                                               : line.find(':', first + 1);
+    if (second != std::string::npos) {
+      if (!ParseNumber("SoC in pack line '" + line + "'", line.substr(second + 1), &soc)) {
+        return false;
+      }
+      line.resize(second);
+    }
+    args->batteries.push_back(line);
+    args->battery_socs.push_back(soc);
   }
   return true;
 }
 
-bool ParseIntFlag(const std::string& flag, const char* value, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "sdbsim: %s wants an integer, got '%s'\n", flag.c_str(), value);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
+// How a flag's operand is parsed and range-checked; each kind has exactly
+// one code path in ParseOperand.
+enum class Operand {
+  kText,         // Stored as given.
+  kTexts,        // Repeatable; every occurrence appended.
+  kNumber,       // Any number.
+  kPositive,     // A positive, finite number.
+  kInt,          // Any int.
+  kPositiveInt,  // An int >= 1.
+  kSeed,         // An unsigned 64-bit integer.
+  kSwitch,       // No operand; sets the field to true.
+  kPackFile,     // A pack file, read into --battery's list.
+};
 
-// Seeds are unsigned 64-bit; a sign or any trailing text is a usage error.
-bool ParseSeedFlag(const std::string& flag, const char* value, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "sdbsim: %s wants an unsigned integer, got '%s'\n", flag.c_str(), value);
-    return false;
+// The Args member a flag's operand lands in; its type matches the kind.
+using Field = std::variant<std::string Args::*, std::vector<std::string> Args::*,
+                           double Args::*, int Args::*, uint64_t Args::*, bool Args::*>;
+
+struct FlagSpec {
+  const char* flag;
+  Operand kind;
+  Field field;
+  const char* unit = "";  // kPositive: what the number counts.
+};
+
+const FlagSpec kFlags[] = {
+    {"--battery", Operand::kTexts, &Args::batteries},
+    {"--pack", Operand::kPackFile, &Args::batteries},
+    {"--soc", Operand::kNumber, &Args::soc},
+    {"--load-watts", Operand::kNumber, &Args::load_watts},
+    {"--hours", Operand::kPositive, &Args::hours, "hours"},
+    {"--trace", Operand::kText, &Args::trace_path},
+    {"--supply-watts", Operand::kNumber, &Args::supply_watts},
+    {"--tick", Operand::kPositive, &Args::tick_s, "seconds"},
+    {"--discharge-directive", Operand::kNumber, &Args::discharge_directive},
+    {"--charge-directive", Operand::kNumber, &Args::charge_directive},
+    {"--deadline-hours", Operand::kNumber, &Args::deadline_hours},
+    {"--target-soc", Operand::kNumber, &Args::target_soc},
+    {"--hourly-csv", Operand::kText, &Args::hourly_csv},
+    {"--seed", Operand::kSeed, &Args::seed},
+    {"--runs", Operand::kPositiveInt, &Args::runs},
+    {"--jobs", Operand::kInt, &Args::jobs},
+    {"--schedules", Operand::kPositiveInt, &Args::schedules},
+    {"--period", Operand::kPositive, &Args::period_min, "minutes"},
+    {"--checkpoint-period", Operand::kPositive, &Args::checkpoint_min, "minutes"},
+    {"--max-crashes", Operand::kPositiveInt, &Args::max_crashes},
+    {"--corpus", Operand::kText, &Args::crash_corpus},
+    {"--fault", Operand::kTexts, &Args::faults},
+    {"--trace-out", Operand::kText, &Args::trace_out},
+    {"--metrics-out", Operand::kText, &Args::metrics_out},
+    {"--param", Operand::kTexts, &Args::params},
+    {"--list", Operand::kSwitch, &Args::list_packs},
+    {"--export-trace", Operand::kText, &Args::export_trace},
+    {"--cases", Operand::kInt, &Args::cases},
+    {"--packs", Operand::kText, &Args::packs_csv},
+    {"--fault-prob", Operand::kNumber, &Args::fault_prob},
+    {"--max-loss-pct", Operand::kNumber, &Args::max_loss_pct},
+    {"--no-shrink", Operand::kSwitch, &Args::no_shrink},
+    {"--corpus-out", Operand::kText, &Args::corpus_out},
+    {"--replay", Operand::kText, &Args::replay_path},
+    {"--flight-out", Operand::kText, &Args::flight_out},
+    {"--timeline-out", Operand::kText, &Args::timeline_out},
+    {"--timeline-period", Operand::kPositive, &Args::timeline_period_s, "seconds"},
+    {"--kind", Operand::kText, &Args::kind_filter},
+};
+
+bool ParseOperand(const FlagSpec& spec, const std::string& value, Args* args) {
+  switch (spec.kind) {
+    case Operand::kText:
+      args->*std::get<std::string Args::*>(spec.field) = value;
+      return true;
+    case Operand::kTexts:
+      (args->*std::get<std::vector<std::string> Args::*>(spec.field)).push_back(value);
+      return true;
+    case Operand::kNumber:
+    case Operand::kPositive:
+      return ParseNumber(spec.flag, value, &(args->*std::get<double Args::*>(spec.field)),
+                         spec.kind == Operand::kPositive ? spec.unit : nullptr);
+    case Operand::kInt:
+    case Operand::kPositiveInt:
+      return ParseInt(spec.flag, value, spec.kind == Operand::kPositiveInt,
+                      &(args->*std::get<int Args::*>(spec.field)));
+    case Operand::kSeed:
+      return ParseSeed(spec.flag, value, &(args->*std::get<uint64_t Args::*>(spec.field)));
+    case Operand::kPackFile:
+      return ReadPackFile(value, args);
+    case Operand::kSwitch:
+      args->*std::get<bool Args::*>(spec.field) = true;
+      return true;
   }
-  *out = parsed;
-  return true;
+  return false;
 }
 
 std::optional<Args> ParseArgs(int argc, char** argv) {
@@ -245,171 +400,27 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
   }
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
+    const std::string flag = argv[i];
     // One positional operand: the scenario-pack name for `workload`.
     if (!flag.empty() && flag[0] != '-' && args.pack_name.empty()) {
       args.pack_name = flag;
       continue;
     }
-    auto next = [&]() -> const char* {
+    const FlagSpec* spec = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                        [&flag](const FlagSpec& f) { return flag == f.flag; });
+    if (spec == std::end(kFlags)) {
+      std::fprintf(stderr, "sdbsim: unknown flag '%s'\n", flag.c_str());
+      return std::nullopt;
+    }
+    std::string value;
+    if (spec->kind != Operand::kSwitch) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "sdbsim: %s needs a value\n", flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* value = nullptr;
-    if (flag == "--battery") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.batteries.push_back(value);
-      args.battery_socs.push_back(-1.0);
-    } else if (flag == "--pack") {
-      // Pack file: one battery per line, "name[:mah][:soc]"; '#' comments.
-      if ((value = next()) == nullptr) return std::nullopt;
-      std::ifstream in(value);
-      if (!in) {
-        std::fprintf(stderr, "sdbsim: cannot open pack file '%s'\n", value);
         return std::nullopt;
       }
-      std::string line;
-      while (std::getline(in, line)) {
-        size_t start = line.find_first_not_of(" \t");
-        if (start == std::string::npos || line[start] == '#') {
-          continue;
-        }
-        line = line.substr(start);
-        while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-          line.pop_back();
-        }
-        // Split off an optional trailing :soc (second colon).
-        double soc = -1.0;
-        size_t first = line.find(':');
-        size_t second = first == std::string::npos ? std::string::npos
-                                                   : line.find(':', first + 1);
-        if (second != std::string::npos) {
-          soc = std::atof(line.substr(second + 1).c_str());
-          line = line.substr(0, second);
-        }
-        args.batteries.push_back(line);
-        args.battery_socs.push_back(soc);
-      }
-    } else if (flag == "--soc") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.soc)) return std::nullopt;
-    } else if (flag == "--load-watts") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.load_watts)) return std::nullopt;
-    } else if (flag == "--hours") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.hours)) return std::nullopt;
-      if (!(args.hours > 0.0)) {
-        std::fprintf(stderr, "sdbsim: --hours wants a positive number, got '%s'\n", value);
-        return std::nullopt;
-      }
-    } else if (flag == "--trace") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.trace_path = value;
-    } else if (flag == "--supply-watts") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.supply_watts)) return std::nullopt;
-    } else if (flag == "--tick") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.tick_s)) return std::nullopt;
-      if (!(args.tick_s > 0.0) || !std::isfinite(args.tick_s)) {
-        std::fprintf(stderr, "sdbsim: --tick wants a positive number of seconds, got '%s'\n",
-                     value);
-        return std::nullopt;
-      }
-    } else if (flag == "--discharge-directive") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.discharge_directive)) return std::nullopt;
-    } else if (flag == "--charge-directive") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.charge_directive)) return std::nullopt;
-    } else if (flag == "--deadline-hours") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.deadline_hours)) return std::nullopt;
-    } else if (flag == "--target-soc") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.target_soc)) return std::nullopt;
-    } else if (flag == "--hourly-csv") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.hourly_csv = value;
-    } else if (flag == "--seed") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseSeedFlag(flag, value, &args.seed)) return std::nullopt;
-    } else if (flag == "--runs") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseIntFlag(flag, value, &args.runs)) return std::nullopt;
-    } else if (flag == "--jobs") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseIntFlag(flag, value, &args.jobs)) return std::nullopt;
-    } else if (flag == "--schedules") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseIntFlag(flag, value, &args.schedules)) return std::nullopt;
-    } else if (flag == "--period") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.period_min)) return std::nullopt;
-    } else if (flag == "--checkpoint-period") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.checkpoint_min)) return std::nullopt;
-    } else if (flag == "--max-crashes") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseIntFlag(flag, value, &args.max_crashes)) return std::nullopt;
-    } else if (flag == "--corpus") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.crash_corpus = value;
-    } else if (flag == "--fault") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.faults.push_back(value);
-    } else if (flag == "--trace-out") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.trace_out = value;
-    } else if (flag == "--metrics-out") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.metrics_out = value;
-    } else if (flag == "--param") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.params.push_back(value);
-    } else if (flag == "--list") {
-      args.list_packs = true;
-    } else if (flag == "--export-trace") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.export_trace = value;
-    } else if (flag == "--cases") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseIntFlag(flag, value, &args.cases)) return std::nullopt;
-    } else if (flag == "--packs") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.packs_csv = value;
-    } else if (flag == "--fault-prob") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.fault_prob)) return std::nullopt;
-    } else if (flag == "--max-loss-pct") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.max_loss_pct)) return std::nullopt;
-    } else if (flag == "--no-shrink") {
-      args.no_shrink = true;
-    } else if (flag == "--corpus-out") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.corpus_out = value;
-    } else if (flag == "--replay") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.replay_path = value;
-    } else if (flag == "--flight-out") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.flight_out = value;
-    } else if (flag == "--timeline-out") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.timeline_out = value;
-    } else if (flag == "--timeline-period") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      if (!ParseDoubleFlag(flag, value, &args.timeline_period_s)) return std::nullopt;
-    } else if (flag == "--kind") {
-      if ((value = next()) == nullptr) return std::nullopt;
-      args.kind_filter = value;
-    } else {
-      std::fprintf(stderr, "sdbsim: unknown flag '%s'\n", flag.c_str());
+      value = argv[++i];
+    }
+    if (!ParseOperand(*spec, value, &args)) {
       return std::nullopt;
     }
   }
@@ -482,171 +493,43 @@ void FlightCheckFailureHandler(const char* expr, const char* file, int line) {
   WriteFlightBundle("check-failure", g_flight->journal.Snapshot(), std::string());
 }
 
-// --- Command registry ---------------------------------------------------------
-//
-// One entry per subcommand; the overview table, the detailed usage text and
-// the dispatch in main() are all generated from this list, so a new command
-// cannot be added without showing up in `sdbsim` / `sdbsim help`.
-
-int CmdList(const Args& args);
-int CmdSimulate(const Args& args);
-int CmdSweep(const Args& args);
-int CmdFaults(const Args& args);
-int CmdSoak(const Args& args);
-int CmdCrash(const Args& args);
-int CmdTrace(const Args& args);
-int CmdPlanCharge(const Args& args);
-int CmdPlanDischarge(const Args& args);
-int CmdWorkload(const Args& args);
-int CmdFuzz(const Args& args);
-int CmdBlackbox(const Args& args);
-int CmdHelp(const Args& args);
-
-struct CommandInfo {
-  const char* name;
-  const char* summary;  // One line for the generated overview table.
-  const char* usage;    // Flag detail, printed under the overview.
-  int (*handler)(const Args& args);
-};
-
-const CommandInfo kCommands[] = {
-    {"list", "print the battery registry (names for --battery specs)",
-     "  sdbsim list\n", CmdList},
-    {"simulate", "play a load (constant or CSV trace) through one rig",
-     "  sdbsim simulate (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
-     "         (--load-watts W --hours H | --trace FILE.csv)\n"
-     "         [--supply-watts W] [--soc F] [--tick S]\n"
-     "         [--discharge-directive F] [--charge-directive F]\n"
-     "         [--hourly-csv OUT.csv] [--seed N]\n"
-     "         [--timeline-out OUT.csv|OUT.json] [--timeline-period S]\n",
-     CmdSimulate},
-    {"workload", "expand and run a named scenario pack",
-     "  sdbsim workload [PACK] [--list] [--param NAME=VALUE ...] [--seed N]\n"
-     "         [--trace FILE.csv] [--export-trace OUT.csv] [--hourly-csv OUT.csv]\n"
-     "         [--timeline-out OUT.csv|OUT.json] [--timeline-period S]\n"
-     "         (--list alone tabulates the packs; with PACK it tabulates the\n"
-     "          pack's parameters; --trace substitutes an external CSV power\n"
-     "          trace for the pack's synthetic load)\n",
-     CmdWorkload},
-    {"fuzz", "seeded scenario fuzzer over pack x params x policy x faults",
-     "  sdbsim fuzz [--seed N] [--cases N] [--jobs N] [--packs A,B,..]\n"
-     "         [--fault-prob F] [--max-loss-pct PCT] [--hours H] [--no-shrink]\n"
-     "         [--corpus-out FILE] [--replay FILE]\n"
-     "         (failing cases shrink to one-line reproducers; --corpus-out\n"
-     "          saves them and --replay re-runs a saved corpus; exit 1 on any\n"
-     "          oracle violation)\n",
-     CmdFuzz},
-    {"sweep", "Monte-Carlo sweep over per-run seeds",
-     "  sdbsim sweep (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
-     "         (--load-watts W --hours H | --trace FILE.csv)\n"
-     "         [--runs N] [--jobs N] [--seed N] [--soc F] [--tick S]\n"
-     "         [--discharge-directive F] [--charge-directive F]\n",
-     CmdSweep},
-    {"faults", "one run with an explicit fault schedule installed",
-     "  sdbsim faults (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
-     "         (--load-watts W --hours H | --trace FILE.csv)\n"
-     "         --fault KIND:START_H:END_H[:BATTERY[:MAGNITUDE[:PROB]]] [--fault ...]\n"
-     "         [--supply-watts W] [--soc F] [--tick S] [--seed N]\n"
-     "         [--discharge-directive F] [--charge-directive F]\n"
-     "         kinds: link-timeout link-corrupt-reply gauge-bias gauge-noise\n"
-     "                gauge-stuck regulator-collapse open-circuit thermal-trip\n"
-     "                micro-crash micro-brownout\n"
-     "         (BATTERY -1 = all; thermal-trip MAGNITUDE in deg C)\n",
-     CmdFaults},
-    {"soak", "randomized fault schedules with per-tick invariants",
-     "  sdbsim soak [--seed N] [--schedules N] [--hours H] [--jobs N]\n"
-     "         [--tick S] [--period MIN]\n"
-     "         (randomized fault schedules on the recovery rig;\n"
-     "          per-tick invariants; exit 1 on any violation)\n",
-     CmdSoak},
-    {"crash", "crash-recovery soak: seeded kill points + torn checkpoint writes",
-     "  sdbsim crash [--seed N] [--schedules N] [--hours H] [--jobs N]\n"
-     "         [--tick S] [--period MIN] [--checkpoint-period MIN]\n"
-     "         [--max-crashes N]\n"
-     "  sdbsim crash --corpus DIR\n"
-     "         (every schedule dies at seeded kill points, warm-restarts from\n"
-     "          the A/B checkpoint store and must finish bit-identical to its\n"
-     "          never-crashed baseline; --corpus instead validates a committed\n"
-     "          torn-write corpus — every damaged slot detected AND recovered;\n"
-     "          exit 1 on any violation)\n",
-     CmdCrash},
-    {"trace", "traced run exported as Chrome trace-event JSON",
-     "  sdbsim trace --trace-out RUN.json [--metrics-out METRICS.json]\n"
-     "         [--battery NAME[:MAH] ... | --pack FILE]\n"
-     "         [--load-watts W --hours H | --trace FILE.csv]\n"
-     "         [--soc F] [--tick S] [--seed N] [--runs N] [--jobs N]\n"
-     "         (defaults: smartwatch pack + synthetic watch day;\n"
-     "          open RUN.json in https://ui.perfetto.dev)\n",
-     CmdTrace},
-    {"plan-charge", "offline charge plan toward a deadline",
-     "  sdbsim plan-charge --battery NAME[:MAH] [--battery ...]\n"
-     "         --soc F --deadline-hours H [--target-soc F]\n",
-     CmdPlanCharge},
-    {"plan-discharge", "offline-optimal two-battery discharge plan",
-     "  sdbsim plan-discharge --battery A --battery B\n"
-     "         (--load-watts W --hours H | --trace FILE.csv) [--soc F]\n",
-     CmdPlanDischarge},
-    {"blackbox", "inspect a --flight-out post-mortem bundle",
-     "  sdbsim blackbox DIR [--kind KIND] [--battery N]\n"
-     "         (prints the bundle's manifest and recorded events; --kind\n"
-     "          filters by kebab-case event kind, --battery by battery index)\n",
-     CmdBlackbox},
-    {"help", "print this overview", "  sdbsim help\n", CmdHelp},
-};
-
-void PrintUsage() {
-  TextTable table({"command", "does"});
-  for (const CommandInfo& command : kCommands) {
-    table.AddRow({command.name, command.summary});
-  }
-  std::ostringstream overview;
-  table.Print(overview);
-  std::fprintf(stderr, "sdbsim — command-line driver for the SDB stack\n\n%s\nusage:\n",
-               overview.str().c_str());
-  for (const CommandInfo& command : kCommands) {
-    std::fprintf(stderr, "%s", command.usage);
-  }
-  std::fprintf(stderr,
-               "  any command also accepts --metrics-out METRICS.json and\n"
-               "  --flight-out DIR (write a post-mortem bundle; see blackbox)\n");
-}
-
-int CmdHelp(const Args&) {
-  PrintUsage();
-  return 0;
-}
-
 // --- Shared rig assembly ------------------------------------------------------
 
 // Builds the pack from --battery/--pack specs (per-battery SoC wins over
-// --soc, which wins over full). Empty optional on a bad spec.
+// --soc, which wins over full). Empty optional on a bad or missing spec.
 std::optional<std::vector<Cell>> BuildCells(const Args& args) {
+  if (args.batteries.empty()) {
+    std::fprintf(stderr, "sdbsim: %s needs at least one --battery\n", args.command.c_str());
+    return std::nullopt;
+  }
   std::vector<Cell> cells;
   for (size_t i = 0; i < args.batteries.size(); ++i) {
     auto params = ParseBatterySpec(args.batteries[i]);
     if (!params.has_value()) {
       return std::nullopt;
     }
-    double soc = 1.0;
+    double soc = args.soc >= 0.0 ? args.soc : 1.0;
     if (i < args.battery_socs.size() && args.battery_socs[i] >= 0.0) {
       soc = args.battery_socs[i];
-    } else if (args.soc >= 0.0) {
-      soc = args.soc;
     }
     cells.emplace_back(std::move(*params), soc);
   }
   return cells;
 }
 
+std::optional<PowerTrace> ReadTrace(const std::string& path) {
+  auto trace = ReadPowerTraceFile(path);
+  if (!trace.ok()) {
+    std::fprintf(stderr, "sdbsim: %s\n", trace.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return *std::move(trace);
+}
+
 // Builds the load from --trace or --load-watts/--hours.
 std::optional<PowerTrace> BuildLoad(const Args& args) {
   if (!args.trace_path.empty()) {
-    auto trace = ReadPowerTraceFile(args.trace_path);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "sdbsim: %s\n", trace.status().ToString().c_str());
-      return std::nullopt;
-    }
-    return *trace;
+    return ReadTrace(args.trace_path);
   }
   if (args.load_watts > 0.0 && args.hours > 0.0) {
     return PowerTrace::Constant(Watts(args.load_watts), Hours(args.hours));
@@ -655,113 +538,50 @@ std::optional<PowerTrace> BuildLoad(const Args& args) {
   return std::nullopt;
 }
 
-// Per-hour table: energy buckets plus the runtime-health columns, so fault
-// replays are plottable straight from the hourly export.
-bool WriteHourlyCsv(const std::string& path, const SimResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "sdbsim: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "hour,load_j,battery_loss_j,circuit_loss_j,degraded,link_retries,"
-         "link_failures,stale_updates\n";
-  for (size_t h = 0; h < result.hourly.size(); ++h) {
-    const HourlyStats& stats = result.hourly[h];
-    out << (h + 1) << "," << stats.load_energy.value() << "," << stats.battery_loss.value()
-        << "," << stats.circuit_loss.value() << "," << (stats.degraded ? 1 : 0) << ","
-        << stats.link_retries << "," << stats.link_failures << "," << stats.stale_updates
-        << "\n";
-  }
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "sdbsim: short write to %s\n", path.c_str());
-    return false;
-  }
-  std::printf("hourly breakdown written to %s\n", path.c_str());
-  return true;
-}
-
-// Writes the sampled timeline as CSV when the path ends in ".csv", JSON
-// otherwise.
-bool WriteTimelineFile(const std::string& path, const obs::Timeline& timeline) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "sdbsim: cannot write %s\n", path.c_str());
-    return false;
-  }
-  bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (csv ? timeline.ToCsv() : timeline.ToJson() + "\n");
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "sdbsim: short write to %s\n", path.c_str());
-    return false;
-  }
-  std::printf("timeline written to %s (%zu sample(s), period %.0f s)\n",
-              path.c_str(), timeline.size(), timeline.period_s());
-  return true;
-}
-
-void PrintTelemetrySummary(const TelemetryRecorder& telemetry) {
-  std::printf("telemetry: %zu decision samples buffered, %zu dropped\n", telemetry.size(),
-              telemetry.dropped());
-}
-
-// --- Commands -----------------------------------------------------------------
-
-int CmdList(const Args&) {
-  TextTable table({"name", "chemistry", "default character"});
-  table.AddRow({"type1", "LiFePO4", "power-tool cell: 10C discharge, 2000 cycles"});
-  table.AddRow({"type2", "CoO2 standard", "everyday mobile cell"});
-  table.AddRow({"type3", "CoO2 fast-charge", "3C charge, lower energy density"});
-  table.AddRow({"type4", "ceramic bendable", "flexible, ohm-scale resistance"});
-  table.AddRow({"fast", "CoO2 fast-charge", "tablet fast-charging cell (Fig. 11)"});
-  table.AddRow({"high-energy", "CoO2 standard", "595 Wh/l tablet cell (Fig. 11)"});
-  table.AddRow({"watch", "CoO2 standard", "small rigid watch cell (Fig. 13)"});
-  table.AddRow({"bendable", "ceramic bendable", "strap battery (Fig. 13)"});
-  table.AddRow({"2in1-internal", "CoO2 standard", "tablet-side battery (Fig. 14)"});
-  table.AddRow({"2in1-external", "CoO2 standard", "keyboard-base battery (Fig. 14)"});
-  table.Print(std::cout);
-  std::cout << "capacity suffix: NAME:MAH, e.g. fast:4000\n";
-  return 0;
-}
-
-int CmdSimulate(const Args& args) {
-  if (args.batteries.empty()) {
-    std::fprintf(stderr, "sdbsim: simulate needs at least one --battery\n");
-    return 2;
-  }
-  std::optional<std::vector<Cell>> cells = BuildCells(args);
-  if (!cells.has_value()) {
-    return 2;
-  }
-  std::optional<PowerTrace> load_opt = BuildLoad(args);
-  if (!load_opt.has_value()) {
-    return 2;
-  }
-  PowerTrace load = std::move(*load_opt);
-
-  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(*cells), args.seed);
+// The runtime and driver-loop settings every rig command (simulate, faults,
+// sweep, trace) shares: the two directives, the --tick hardware step and a
+// replan period of max(30 s, tick).
+RuntimeConfig MakeRuntimeConfig(const Args& args) {
   RuntimeConfig config;
   config.directives.discharging = args.discharge_directive;
   config.directives.charging = args.charge_directive;
-  SdbRuntime runtime(&micro, config);
-  TelemetryRecorder telemetry;
-  runtime.AttachTelemetry(&telemetry);
+  return config;
+}
 
-  SimConfig sim_config;
-  sim_config.tick = Seconds(args.tick_s);
-  sim_config.runtime_period = Seconds(std::max(30.0, args.tick_s));
-  sim_config.stop_on_shortfall = false;
-  obs::Timeline timeline(args.timeline_period_s);
-  if (!args.timeline_out.empty()) {
-    sim_config.timeline = &timeline;
-  }
-  Simulator sim(&runtime, sim_config);
+SimConfig MakeSimConfig(const Args& args) {
+  SimConfig config;
+  config.tick = Seconds(args.tick_s);
+  config.runtime_period = Seconds(std::max(30.0, args.tick_s));
+  return config;
+}
+
+// One seeded run of the rig for the Monte-Carlo engine (sweep, trace);
+// BuildCells must already have accepted `args`' specs.
+ScenarioFn SeededRun(const Args& args, const PowerTrace& load) {
+  return [&args, &load](uint64_t seed) {
+    SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(*BuildCells(args)), seed);
+    SdbRuntime runtime(&micro, MakeRuntimeConfig(args));
+    Simulator sim(&runtime, MakeSimConfig(args));
+    return sim.Run(load);
+  };
+}
+
+// Plays `load`, plus a constant --supply-watts supply when one is given,
+// through `runtime`; a shortfall is recorded rather than ending the run.
+SimResult PlayLoad(const Args& args, SdbRuntime* runtime, const PowerTrace& load,
+                   obs::Timeline* timeline) {
+  SimConfig config = MakeSimConfig(args);
+  config.stop_on_shortfall = false;
+  config.timeline = timeline;
+  Simulator sim(runtime, config);
   PowerTrace supply = args.supply_watts > 0.0
                           ? PowerTrace::Constant(Watts(args.supply_watts), load.TotalDuration())
                           : PowerTrace();
-  SimResult result = sim.Run(load, supply);
+  return sim.Run(load, supply);
+}
 
+// The outcome lines `simulate` and `faults` share.
+void PrintRunSummary(const SimResult& result, const SdbMicrocontroller& micro) {
   std::printf("simulated %.2f h; delivered %.1f kJ; losses %.1f J battery + %.1f J circuit\n",
               ToHours(result.elapsed), result.delivered.value() / 1000.0,
               result.battery_loss.value(), result.circuit_loss.value());
@@ -776,7 +596,84 @@ int CmdSimulate(const Args& args) {
                 cell.params().name.c_str(), 100.0 * result.final_soc[i],
                 cell.aging().cycle_count(), ToCelsius(cell.thermal().temperature()));
   }
-  PrintTelemetrySummary(telemetry);
+}
+
+// Writes `text` to `path`. An unopenable path or a short write is a
+// one-line error (the caller exits 2), never a silent success.
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "sdbsim: cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << text;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "sdbsim: short write to %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Per-hour table: energy buckets plus the runtime-health columns, so fault
+// replays are plottable straight from the hourly export.
+bool WriteHourlyCsv(const std::string& path, const SimResult& result) {
+  std::ostringstream out;
+  out << "hour,load_j,battery_loss_j,circuit_loss_j,degraded,link_retries,"
+         "link_failures,stale_updates\n";
+  for (size_t h = 0; h < result.hourly.size(); ++h) {
+    const HourlyStats& stats = result.hourly[h];
+    out << (h + 1) << "," << stats.load_energy.value() << "," << stats.battery_loss.value()
+        << "," << stats.circuit_loss.value() << "," << (stats.degraded ? 1 : 0) << ","
+        << stats.link_retries << "," << stats.link_failures << "," << stats.stale_updates
+        << "\n";
+  }
+  if (!WriteTextFile(path, out.str())) {
+    return false;
+  }
+  std::printf("hourly breakdown written to %s\n", path.c_str());
+  return true;
+}
+
+// Writes the sampled timeline as CSV when the path ends in ".csv", JSON
+// otherwise.
+bool WriteTimelineFile(const std::string& path, const obs::Timeline& timeline) {
+  bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  if (!WriteTextFile(path, csv ? timeline.ToCsv() : timeline.ToJson() + "\n")) {
+    return false;
+  }
+  std::printf("timeline written to %s (%zu sample(s), period %.0f s)\n",
+              path.c_str(), timeline.size(), timeline.period_s());
+  return true;
+}
+
+// --- Commands -----------------------------------------------------------------
+
+int CmdList(const Args&) {
+  TextTable table({"name", "chemistry", "default character"});
+  for (const BatteryType& type : kBatteryTypes) {
+    table.AddRow({type.name, type.chemistry, type.character});
+  }
+  table.Print(std::cout);
+  std::cout << "capacity suffix: NAME:MAH, e.g. fast:4000\n";
+  return 0;
+}
+
+int CmdSimulate(const Args& args) {
+  std::optional<std::vector<Cell>> cells = BuildCells(args);
+  if (!cells.has_value()) {
+    return 2;
+  }
+  std::optional<PowerTrace> load = BuildLoad(args);
+  if (!load.has_value()) {
+    return 2;
+  }
+  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(*cells), args.seed);
+  SdbRuntime runtime(&micro, MakeRuntimeConfig(args));
+  obs::Timeline timeline(args.timeline_period_s);
+  SimResult result =
+      PlayLoad(args, &runtime, *load, args.timeline_out.empty() ? nullptr : &timeline);
+  PrintRunSummary(result, micro);
 
   if (!args.hourly_csv.empty() && !WriteHourlyCsv(args.hourly_csv, result)) {
     return 2;
@@ -791,68 +688,16 @@ int CmdSimulate(const Args& args) {
 // variations of measurement noise and workload jitter, executed by the
 // parallel sweep engine. Results are bit-identical for any --jobs value.
 int CmdSweep(const Args& args) {
-  if (args.batteries.empty()) {
-    std::fprintf(stderr, "sdbsim: sweep needs at least one --battery\n");
+  // Validate the specs once up front so a typo fails before the sweep starts.
+  if (!BuildCells(args).has_value()) {
     return 2;
   }
-  if (args.runs <= 0) {
-    std::fprintf(stderr, "sdbsim: --runs must be positive\n");
+  std::optional<PowerTrace> load = BuildLoad(args);
+  if (!load.has_value()) {
     return 2;
   }
-  // Validate specs once up front so a typo fails before the sweep starts.
-  std::vector<BatteryParams> params;
-  std::vector<double> socs;
-  for (size_t i = 0; i < args.batteries.size(); ++i) {
-    auto p = ParseBatterySpec(args.batteries[i]);
-    if (!p.has_value()) {
-      return 2;
-    }
-    double soc = 1.0;
-    if (i < args.battery_socs.size() && args.battery_socs[i] >= 0.0) {
-      soc = args.battery_socs[i];
-    } else if (args.soc >= 0.0) {
-      soc = args.soc;
-    }
-    params.push_back(std::move(*p));
-    socs.push_back(soc);
-  }
-
-  PowerTrace load;
-  if (!args.trace_path.empty()) {
-    auto trace = ReadPowerTraceFile(args.trace_path);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "sdbsim: %s\n", trace.status().ToString().c_str());
-      return 2;
-    }
-    load = *trace;
-  } else if (args.load_watts > 0.0 && args.hours > 0.0) {
-    load = PowerTrace::Constant(Watts(args.load_watts), Hours(args.hours));
-  } else {
-    std::fprintf(stderr, "sdbsim: need --trace or --load-watts + --hours\n");
-    return 2;
-  }
-
-  ScenarioFn scenario = [&params, &socs, &load, &args](uint64_t seed) {
-    std::vector<Cell> cells;
-    for (size_t i = 0; i < params.size(); ++i) {
-      cells.emplace_back(params[i], socs[i]);
-    }
-    SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), seed);
-    RuntimeConfig config;
-    config.directives.discharging = args.discharge_directive;
-    config.directives.charging = args.charge_directive;
-    SdbRuntime runtime(&micro, config);
-    SimConfig sim_config;
-    sim_config.tick = Seconds(args.tick_s);
-    sim_config.runtime_period = Seconds(std::max(30.0, args.tick_s));
-    Simulator sim(&runtime, sim_config);
-    return sim.Run(load);
-  };
-
-  MonteCarloOptions options;
-  options.base_seed = args.seed;
-  options.jobs = args.jobs;
-  MonteCarloResult result = RunMonteCarlo(scenario, args.runs, options);
+  MonteCarloResult result = RunMonteCarlo(SeededRun(args, *load), args.runs,
+                                          {.base_seed = args.seed, .jobs = args.jobs});
 
   TextTable table({"metric", "mean", "sigma", "min", "max"});
   auto add_stats = [&table](const char* name, const RunningStats& s, int digits) {
@@ -865,10 +710,11 @@ int CmdSweep(const Args& args) {
   table.Print(std::cout);
   std::printf("%d/%d runs hit a shortfall\n", result.shortfall_runs, result.runs);
 
-  SweepCounterSnapshot snap = SweepCounters::Global().Snapshot();
+  obs::MetricsSnapshot metrics = obs::MetricsRegistry::Global().Snapshot();
   std::printf("sweep engine: %d runs in %llu shard tasks, wall %.2f s, worker wait %.2f s\n",
-              result.runs, static_cast<unsigned long long>(snap.tasks_executed),
-              snap.wall.value(), snap.worker_wait.value());
+              result.runs,
+              static_cast<unsigned long long>(metrics.counters.at("sdb.sweep.tasks_executed")),
+              metrics.gauges.at("sdb.sweep.wall_s"), metrics.gauges.at("sdb.sweep.worker_wait_s"));
   return 0;
 }
 
@@ -877,23 +723,18 @@ int CmdSweep(const Args& args) {
 // command link (so link faults actually bite). Prints the usual simulation
 // summary plus the runtime's resilience counters and the injector's view.
 int CmdFaults(const Args& args) {
-  if (args.batteries.empty()) {
-    std::fprintf(stderr, "sdbsim: faults needs at least one --battery\n");
+  std::optional<std::vector<Cell>> cells = BuildCells(args);
+  if (!cells.has_value()) {
     return 2;
   }
   if (args.faults.empty()) {
     std::fprintf(stderr, "sdbsim: faults needs at least one --fault spec\n");
     return 2;
   }
-  std::optional<std::vector<Cell>> cells = BuildCells(args);
-  if (!cells.has_value()) {
+  std::optional<PowerTrace> load = BuildLoad(args);
+  if (!load.has_value()) {
     return 2;
   }
-  std::optional<PowerTrace> load_opt = BuildLoad(args);
-  if (!load_opt.has_value()) {
-    return 2;
-  }
-  PowerTrace load = std::move(*load_opt);
 
   FaultPlan plan;
   plan.seed = args.seed;
@@ -925,40 +766,12 @@ int CmdFaults(const Args& args) {
       [&server](const std::vector<uint8_t>& bytes) { return server.Receive(bytes); });
   client.AttachFaultInjector(micro.fault_injector());
 
-  RuntimeConfig config;
-  config.directives.discharging = args.discharge_directive;
-  config.directives.charging = args.charge_directive;
-  SdbRuntime runtime(&micro, config);
+  SdbRuntime runtime(&micro, MakeRuntimeConfig(args));
   runtime.AttachLink(&client);
-  TelemetryRecorder telemetry;
-  runtime.AttachTelemetry(&telemetry);
-
-  SimConfig sim_config;
-  sim_config.tick = Seconds(args.tick_s);
-  sim_config.runtime_period = Seconds(std::max(30.0, args.tick_s));
-  sim_config.stop_on_shortfall = false;
-  Simulator sim(&runtime, sim_config);
-  PowerTrace supply = args.supply_watts > 0.0
-                          ? PowerTrace::Constant(Watts(args.supply_watts), load.TotalDuration())
-                          : PowerTrace();
   std::printf("fault plan: %zu event(s), seed %llu\n", args.faults.size(),
               static_cast<unsigned long long>(args.seed));
-  SimResult result = sim.Run(load, supply);
-
-  std::printf("simulated %.2f h; delivered %.1f kJ; losses %.1f J battery + %.1f J circuit\n",
-              ToHours(result.elapsed), result.delivered.value() / 1000.0,
-              result.battery_loss.value(), result.circuit_loss.value());
-  if (result.first_shortfall.has_value()) {
-    std::printf("load first unmet at %.2f h\n", ToHours(*result.first_shortfall));
-  } else {
-    std::printf("load fully served\n");
-  }
-  for (size_t i = 0; i < result.final_soc.size(); ++i) {
-    const Cell& cell = micro.pack().cell(i);
-    std::printf("battery %zu (%s): SoC %.1f%%, %.1f cycles, %.2f C cell temperature\n", i,
-                cell.params().name.c_str(), 100.0 * result.final_soc[i],
-                cell.aging().cycle_count(), ToCelsius(cell.thermal().temperature()));
-  }
+  SimResult result = PlayLoad(args, &runtime, *load, nullptr);
+  PrintRunSummary(result, micro);
 
   const ResilienceCounters& res = runtime.resilience();
   std::printf("resilience: %llu retries (%.2f s backoff), %llu hard failures, "
@@ -1012,11 +825,32 @@ int CmdFaults(const Args& args) {
                   std::string(FaultKindName(t.kind)).c_str());
     }
   }
-  PrintTelemetrySummary(telemetry);
   if (!args.hourly_csv.empty() && !WriteHourlyCsv(args.hourly_csv, result)) {
     return 2;
   }
   return result.first_shortfall.has_value() ? 1 : 0;
+}
+
+// Fills the settings soak and crash share from the flags. Both step at
+// Args' 1 s default tick unless --tick says otherwise (their pinned
+// fingerprints depend on it). A replan period shorter than the tick is a
+// usage error here rather than a failed check in the driver loop.
+template <typename HarnessConfig>
+bool ConfigureHarness(const Args& args, HarnessConfig* config) {
+  config->tick = Seconds(args.tick_s);
+  config->runtime_period = Minutes(args.period_min);
+  if (config->runtime_period.value() < config->tick.value()) {
+    std::fprintf(stderr, "sdbsim: --period %g min is shorter than the %g s tick\n",
+                 args.period_min, args.tick_s);
+    return false;
+  }
+  config->base_seed = args.seed;
+  config->schedules = args.schedules;
+  config->jobs = args.jobs;
+  if (args.hours > 0.0) {
+    config->horizon = Hours(args.hours);
+  }
+  return true;
 }
 
 // Seeded soak: randomized fault schedules against the recovery rig, with
@@ -1024,20 +858,10 @@ int CmdFaults(const Args& args) {
 // per-schedule summary (seeds included, so any line can be replayed with
 // --seed) and exits nonzero if any invariant was violated.
 int CmdSoak(const Args& args) {
-  if (args.schedules <= 0) {
-    std::fprintf(stderr, "sdbsim: --schedules must be positive\n");
+  SoakConfig config;
+  if (!ConfigureHarness(args, &config)) {
     return 2;
   }
-  SoakConfig config;
-  config.base_seed = args.seed;
-  config.schedules = args.schedules;
-  config.jobs = args.jobs;
-  if (args.hours > 0.0) {
-    config.horizon = Hours(args.hours);
-  }
-  config.tick = Seconds(args.tick_s > 0.0 ? args.tick_s : 10.0);
-  config.runtime_period = Minutes(args.period_min);
-
   std::printf("soak: %d schedule(s), seeds %llu..%llu, horizon %.2f h, "
               "tick %.0f s, jobs %d\n",
               config.schedules, static_cast<unsigned long long>(config.base_seed),
@@ -1096,8 +920,7 @@ int CmdSoak(const Args& args) {
 // every case must still recover from the surviving slot.
 int CmdCrash(const Args& args) {
   if (!args.crash_corpus.empty()) {
-    StatusOr<std::vector<CorpusCaseResult>> results =
-        ValidateTornCorpus(args.crash_corpus);
+    StatusOr<std::vector<CorpusCaseResult>> results = ValidateTornCorpus(args.crash_corpus);
     if (!results.ok()) {
       std::fprintf(stderr, "sdbsim: %s\n", results.status().ToString().c_str());
       return 2;
@@ -1117,27 +940,10 @@ int CmdCrash(const Args& args) {
     return failures == 0 ? 0 : 1;
   }
 
-  if (args.schedules <= 0) {
-    std::fprintf(stderr, "sdbsim: --schedules must be positive\n");
-    return 2;
-  }
-  if (args.max_crashes <= 0) {
-    std::fprintf(stderr, "sdbsim: --max-crashes must be positive\n");
-    return 2;
-  }
-  if (args.checkpoint_min <= 0.0) {
-    std::fprintf(stderr, "sdbsim: --checkpoint-period must be positive\n");
-    return 2;
-  }
   CrashConfig config;
-  config.base_seed = args.seed;
-  config.schedules = args.schedules;
-  config.jobs = args.jobs;
-  if (args.hours > 0.0) {
-    config.horizon = Hours(args.hours);
+  if (!ConfigureHarness(args, &config)) {
+    return 2;
   }
-  config.tick = Seconds(args.tick_s > 0.0 ? args.tick_s : 10.0);
-  config.runtime_period = Minutes(args.period_min);
   config.checkpoint_period = Minutes(args.checkpoint_min);
   config.max_crashes = args.max_crashes;
 
@@ -1192,8 +998,8 @@ int CmdCrash(const Args& args) {
 
 // Traced run: plays a scenario with span tracing enabled and exports the
 // buffer as Chrome trace-event JSON (loadable in Perfetto/chrome://tracing).
-// Phase 1 drives the runtime over the framed command link so hw-layer spans
-// fire; phase 2 runs a small Monte-Carlo sweep so shard spans land too.
+// Phase 1 runs a small Monte-Carlo sweep so shard spans land; phase 2 drives
+// the runtime over the framed command link so hw-layer spans fire too.
 // Defaults to the paper's §5.2 smartwatch day on the watch pack.
 int CmdTrace(const Args& args) {
   if (args.trace_out.empty()) {
@@ -1206,24 +1012,19 @@ int CmdTrace(const Args& args) {
   Args rig = args;
   if (rig.batteries.empty()) {
     rig.batteries = {"watch:200", "bendable:200"};
-    rig.battery_socs = {-1.0, -1.0};
   }
   std::optional<std::vector<Cell>> cells = BuildCells(rig);
   if (!cells.has_value()) {
     return 2;
   }
   // Load: flags win; default is the synthetic smartwatch day.
-  PowerTrace load;
-  if (!rig.trace_path.empty() || (rig.load_watts > 0.0 && rig.hours > 0.0)) {
-    std::optional<PowerTrace> load_opt = BuildLoad(rig);
-    if (!load_opt.has_value()) {
-      return 2;
-    }
-    load = std::move(*load_opt);
-  } else {
+  std::optional<PowerTrace> load;
+  if (rig.trace_path.empty() && !(rig.load_watts > 0.0 && rig.hours > 0.0)) {
     SmartwatchDayConfig day;
     day.seed = rig.seed;
     load = MakeSmartwatchDayTrace(day);
+  } else if (load = BuildLoad(rig); !load.has_value()) {
+    return 2;
   }
 
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -1233,25 +1034,8 @@ int CmdTrace(const Args& args) {
   // Phase 1: a small parallel sweep of the scenario — mc spans. Runs first
   // so the linked run's spans (the interesting per-layer detail) are the
   // most recent when the ring evicts.
-  int sweep_runs = std::max(1, std::min(rig.runs, 8));
-  ScenarioFn scenario = [&rig, &load](uint64_t seed) {
-    std::optional<std::vector<Cell>> sweep_cells = BuildCells(rig);
-    SdbMicrocontroller sweep_micro =
-        MakeDefaultMicrocontroller(std::move(*sweep_cells), seed);
-    RuntimeConfig sweep_config;
-    sweep_config.directives.discharging = rig.discharge_directive;
-    sweep_config.directives.charging = rig.charge_directive;
-    SdbRuntime sweep_runtime(&sweep_micro, sweep_config);
-    SimConfig sweep_sim;
-    sweep_sim.tick = Seconds(rig.tick_s);
-    sweep_sim.runtime_period = Seconds(std::max(30.0, rig.tick_s));
-    Simulator sweep_simulator(&sweep_runtime, sweep_sim);
-    return sweep_simulator.Run(load);
-  };
-  MonteCarloOptions options;
-  options.base_seed = rig.seed;
-  options.jobs = rig.jobs;
-  RunMonteCarlo(scenario, sweep_runs, options);
+  RunMonteCarlo(SeededRun(rig, *load), std::min(rig.runs, 8),
+                {.base_seed = rig.seed, .jobs = rig.jobs});
 
   // Phase 2: a single run over the framed command link — core, hw-link and
   // chem spans.
@@ -1259,33 +1043,23 @@ int CmdTrace(const Args& args) {
   CommandLinkServer server(&micro);
   CommandLinkClient client(
       [&server](const std::vector<uint8_t>& bytes) { return server.Receive(bytes); });
-  RuntimeConfig config;
-  config.directives.discharging = rig.discharge_directive;
-  config.directives.charging = rig.charge_directive;
-  SdbRuntime runtime(&micro, config);
+  SdbRuntime runtime(&micro, MakeRuntimeConfig(rig));
   runtime.AttachLink(&client);
-  TelemetryRecorder telemetry;
-  runtime.AttachTelemetry(&telemetry);
-
-  SimConfig sim_config;
-  sim_config.tick = Seconds(rig.tick_s);
-  sim_config.runtime_period = Seconds(std::max(30.0, rig.tick_s));
+  SimConfig sim_config = MakeSimConfig(rig);
   sim_config.stop_on_shortfall = false;
   Simulator sim(&runtime, sim_config);
-  SimResult result = sim.Run(load);
+  SimResult result = sim.Run(*load);
   std::printf("traced run: %.2f h simulated; delivered %.1f kJ\n", ToHours(result.elapsed),
               result.delivered.value() / 1000.0);
-  PrintTelemetrySummary(telemetry);
 
   tracer.SetEnabled(false);
 
   // Export, with a per-layer count so the user can see the trace is whole.
-  std::ofstream out(args.trace_out);
-  if (!out) {
-    std::fprintf(stderr, "sdbsim: cannot write %s\n", args.trace_out.c_str());
+  std::ostringstream json;
+  ExportChromeTrace(tracer, json);
+  if (!WriteTextFile(args.trace_out, json.str())) {
     return 2;
   }
-  ExportChromeTrace(tracer, out);
   std::map<std::string, uint64_t> per_layer;
   for (const obs::TraceEvent& event : tracer.Snapshot()) {
     ++per_layer[event.category];
@@ -1301,21 +1075,13 @@ int CmdTrace(const Args& args) {
 }
 
 int CmdPlanCharge(const Args& args) {
-  if (args.batteries.empty()) {
-    std::fprintf(stderr, "sdbsim: plan-charge needs at least one --battery\n");
+  std::optional<std::vector<Cell>> cells = BuildCells(args);
+  if (!cells.has_value()) {
     return 2;
   }
-  std::vector<BatteryParams> params;
-  for (const std::string& spec : args.batteries) {
-    auto p = ParseBatterySpec(spec);
-    if (!p.has_value()) {
-      return 2;
-    }
-    params.push_back(std::move(*p));
-  }
   std::vector<ChargeGoal> goals;
-  for (const BatteryParams& p : params) {
-    goals.push_back(ChargeGoal{&p, args.soc >= 0.0 ? args.soc : 0.0, args.target_soc});
+  for (const Cell& cell : *cells) {
+    goals.push_back(ChargeGoal{&cell.params(), args.soc >= 0.0 ? args.soc : 0.0, args.target_soc});
   }
   auto plan = PlanCharge(goals, Hours(args.deadline_hours));
   if (!plan.ok()) {
@@ -1325,7 +1091,7 @@ int CmdPlanCharge(const Args& args) {
   TextTable table({"battery", "rate (C)", "current (A)", "time (min)", "fade (ppm)"});
   for (size_t i = 0; i < plan->entries.size(); ++i) {
     const ChargePlanEntry& e = plan->entries[i];
-    table.AddRow({params[i].name, TextTable::Num(e.c_rate, 3),
+    table.AddRow({(*cells)[i].params().name, TextTable::Num(e.c_rate, 3),
                   TextTable::Num(e.current.value(), 2),
                   TextTable::Num(ToMinutes(e.time_to_target), 0),
                   TextTable::Num(1e6 * e.predicted_fade, 1)});
@@ -1342,27 +1108,17 @@ int CmdPlanDischarge(const Args& args) {
     std::fprintf(stderr, "sdbsim: plan-discharge needs exactly two --battery specs\n");
     return 2;
   }
-  PowerTrace load;
-  if (!args.trace_path.empty()) {
-    auto trace = ReadPowerTraceFile(args.trace_path);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "sdbsim: %s\n", trace.status().ToString().c_str());
-      return 2;
-    }
-    load = *trace;
-  } else if (args.load_watts > 0.0 && args.hours > 0.0) {
-    load = PowerTrace::Constant(Watts(args.load_watts), Hours(args.hours));
-  } else {
-    std::fprintf(stderr, "sdbsim: need --trace or --load-watts + --hours\n");
+  std::optional<std::vector<Cell>> cells = BuildCells(args);
+  if (!cells.has_value()) {
     return 2;
   }
-  auto p0 = ParseBatterySpec(args.batteries[0]);
-  auto p1 = ParseBatterySpec(args.batteries[1]);
-  if (!p0.has_value() || !p1.has_value()) {
+  std::optional<PowerTrace> load = BuildLoad(args);
+  if (!load.has_value()) {
     return 2;
   }
-  double soc = args.soc >= 0.0 ? args.soc : 1.0;
-  PlanResult plan = PlanOptimalDischarge({&*p0, soc}, {&*p1, soc}, load);
+  const Cell& a = (*cells)[0];
+  const Cell& b = (*cells)[1];
+  PlanResult plan = PlanOptimalDischarge({&a.params(), a.soc()}, {&b.params(), b.soc()}, *load);
   std::printf("offline-optimal plan: %.2f h serviced (%s), predicted loss %.1f J\n",
               ToHours(plan.serviced), plan.full_trace_served ? "full trace" : "partial",
               plan.predicted_loss.value());
@@ -1394,7 +1150,10 @@ std::optional<PackParams> ParseParamOverrides(const Args& args) {
       std::fprintf(stderr, "sdbsim: --param wants NAME=VALUE, got '%s'\n", spec.c_str());
       return std::nullopt;
     }
-    overrides[spec.substr(0, eq)] = std::atof(spec.substr(eq + 1).c_str());
+    const std::string name = spec.substr(0, eq);
+    if (!ParseNumber("--param " + name, spec.substr(eq + 1), &overrides[name])) {
+      return std::nullopt;
+    }
   }
   return overrides;
 }
@@ -1446,13 +1205,8 @@ int CmdWorkload(const Args& args) {
   }
   // Optional external-trace substitution for the pack's synthetic load.
   std::optional<PowerTrace> substituted;
-  if (!args.trace_path.empty()) {
-    auto trace = ReadPowerTraceFile(args.trace_path);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "sdbsim: %s\n", trace.status().ToString().c_str());
-      return 2;
-    }
-    substituted = *std::move(trace);
+  if (!args.trace_path.empty() && !(substituted = ReadTrace(args.trace_path)).has_value()) {
+    return 2;
   }
   StatusOr<ScenarioSpec> expanded =
       ExpandScenario(args.pack_name, *overrides, args.seed,
@@ -1555,16 +1309,7 @@ int CmdFuzz(const Args& args) {
     return 2;
   }
   if (!args.packs_csv.empty()) {
-    size_t pos = 0;
-    while (pos <= args.packs_csv.size()) {
-      size_t comma = args.packs_csv.find(',', pos);
-      if (comma == std::string::npos) {
-        config.packs.push_back(args.packs_csv.substr(pos));
-        break;
-      }
-      config.packs.push_back(args.packs_csv.substr(pos, comma - pos));
-      pos = comma + 1;
-    }
+    config.packs = Split(args.packs_csv, ',');
   }
 
   FuzzReport report;
@@ -1604,11 +1349,7 @@ int CmdFuzz(const Args& args) {
   PrintFuzzReport(report);
 
   if (!args.corpus_out.empty()) {
-    std::ofstream out(args.corpus_out);
-    if (!out) {
-      std::fprintf(stderr, "sdbsim: cannot write %s\n", args.corpus_out.c_str());
-      return 2;
-    }
+    std::ostringstream out;
     out << "# sdb fuzz corpus: one reproducer per line (sdbsim fuzz --replay)\n";
     size_t written = 0;
     for (const FuzzCaseReport& c : report.cases) {
@@ -1617,9 +1358,7 @@ int CmdFuzz(const Args& args) {
         ++written;
       }
     }
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "sdbsim: short write to %s\n", args.corpus_out.c_str());
+    if (!WriteTextFile(args.corpus_out, out.str())) {
       return 2;
     }
     std::printf("corpus: %zu failing reproducer(s) written to %s\n", written,
@@ -1641,6 +1380,13 @@ int CmdFuzz(const Args& args) {
 int CmdBlackbox(const Args& args) {
   if (args.pack_name.empty()) {
     std::fprintf(stderr, "sdbsim: blackbox needs a bundle directory\n");
+    return 2;
+  }
+  // Filters: --kind by kebab-case kind name, --battery by index (the flag
+  // is shared with the rig commands; here its value is a bare index).
+  std::optional<int> battery_filter;
+  if (!args.batteries.empty() &&
+      !ParseInt("blackbox --battery", args.batteries.front(), false, &battery_filter.emplace())) {
     return 2;
   }
   obs::PostmortemManifest manifest;
@@ -1668,12 +1414,6 @@ int CmdBlackbox(const Args& args) {
     std::fprintf(stderr, "sdbsim: %s\n", error.c_str());
     return 2;
   }
-  // Filters: --kind by kebab-case kind name, --battery by index (the flag
-  // is shared with the rig commands; here its value is a bare index).
-  std::optional<int> battery_filter;
-  if (!args.batteries.empty()) {
-    battery_filter = std::atoi(args.batteries.front().c_str());
-  }
   TextTable table({"seq", "t_s", "kind", "battery", "what", "value", "limit", "detail"});
   size_t shown = 0;
   for (const obs::JournalEvent& event : events) {
@@ -1700,6 +1440,128 @@ int CmdBlackbox(const Args& args) {
   return 0;
 }
 
+// --- Command registry ---------------------------------------------------------
+//
+// One entry per subcommand; the overview table, the detailed usage text and
+// the dispatch in main() are all generated from this list, so a new command
+// cannot be added without showing up in `sdbsim` / `sdbsim help`.
+
+int CmdHelp(const Args& args);
+
+struct CommandInfo {
+  const char* name;
+  const char* summary;  // One line for the generated overview table.
+  const char* usage;    // Flag detail, printed under the overview.
+  int (*handler)(const Args& args);
+};
+
+const CommandInfo kCommands[] = {
+    {"list", "print the battery registry (names for --battery specs)",
+     "  sdbsim list\n", CmdList},
+    {"simulate", "play a load (constant or CSV trace) through one rig",
+     "  sdbsim simulate (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
+     "         (--load-watts W --hours H | --trace FILE.csv)\n"
+     "         [--supply-watts W] [--soc F] [--tick S]\n"
+     "         [--discharge-directive F] [--charge-directive F]\n"
+     "         [--hourly-csv OUT.csv] [--seed N]\n"
+     "         [--timeline-out OUT.csv|OUT.json] [--timeline-period S]\n",
+     CmdSimulate},
+    {"workload", "expand and run a named scenario pack",
+     "  sdbsim workload [PACK] [--list] [--param NAME=VALUE ...] [--seed N]\n"
+     "         [--trace FILE.csv] [--export-trace OUT.csv] [--hourly-csv OUT.csv]\n"
+     "         [--timeline-out OUT.csv|OUT.json] [--timeline-period S]\n"
+     "         (--list alone tabulates the packs; with PACK it tabulates the\n"
+     "          pack's parameters; --trace substitutes an external CSV power\n"
+     "          trace for the pack's synthetic load)\n",
+     CmdWorkload},
+    {"fuzz", "seeded scenario fuzzer over pack x params x policy x faults",
+     "  sdbsim fuzz [--seed N] [--cases N] [--jobs N] [--packs A,B,..]\n"
+     "         [--fault-prob F] [--max-loss-pct PCT] [--hours H] [--no-shrink]\n"
+     "         [--corpus-out FILE] [--replay FILE]\n"
+     "         (failing cases shrink to one-line reproducers; --corpus-out\n"
+     "          saves them and --replay re-runs a saved corpus; exit 1 on any\n"
+     "          oracle violation)\n",
+     CmdFuzz},
+    {"sweep", "Monte-Carlo sweep over per-run seeds",
+     "  sdbsim sweep (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
+     "         (--load-watts W --hours H | --trace FILE.csv)\n"
+     "         [--runs N] [--jobs N] [--seed N] [--soc F] [--tick S]\n"
+     "         [--discharge-directive F] [--charge-directive F]\n",
+     CmdSweep},
+    {"faults", "one run with an explicit fault schedule installed",
+     "  sdbsim faults (--battery NAME[:MAH] [--battery ...] | --pack FILE)\n"
+     "         (--load-watts W --hours H | --trace FILE.csv)\n"
+     "         --fault KIND:START_H:END_H[:BATTERY[:MAGNITUDE[:PROB]]] [--fault ...]\n"
+     "         [--supply-watts W] [--soc F] [--tick S] [--seed N]\n"
+     "         [--discharge-directive F] [--charge-directive F]\n"
+     "         kinds: link-timeout link-corrupt-reply gauge-bias gauge-noise\n"
+     "                gauge-stuck regulator-collapse open-circuit thermal-trip\n"
+     "                micro-crash micro-brownout\n"
+     "         (BATTERY -1 = all; thermal-trip MAGNITUDE in deg C)\n",
+     CmdFaults},
+    {"soak", "randomized fault schedules with per-tick invariants",
+     "  sdbsim soak [--seed N] [--schedules N] [--hours H] [--jobs N]\n"
+     "         [--tick S (default 1)] [--period MIN (>= the tick, default 10)]\n"
+     "         (randomized fault schedules on the recovery rig;\n"
+     "          per-tick invariants; exit 1 on any violation)\n",
+     CmdSoak},
+    {"crash", "crash-recovery soak: seeded kill points + torn checkpoint writes",
+     "  sdbsim crash [--seed N] [--schedules N] [--hours H] [--jobs N]\n"
+     "         [--tick S (default 1)] [--period MIN (>= the tick, default 10)]\n"
+     "         [--checkpoint-period MIN] [--max-crashes N]\n"
+     "  sdbsim crash --corpus DIR\n"
+     "         (every schedule dies at seeded kill points, warm-restarts from\n"
+     "          the A/B checkpoint store and must finish bit-identical to its\n"
+     "          never-crashed baseline; --corpus instead validates a committed\n"
+     "          torn-write corpus — every damaged slot detected AND recovered;\n"
+     "          exit 1 on any violation)\n",
+     CmdCrash},
+    {"trace", "traced run exported as Chrome trace-event JSON",
+     "  sdbsim trace --trace-out RUN.json [--metrics-out METRICS.json]\n"
+     "         [--battery NAME[:MAH] ... | --pack FILE]\n"
+     "         [--load-watts W --hours H | --trace FILE.csv]\n"
+     "         [--soc F] [--tick S] [--seed N] [--runs N] [--jobs N]\n"
+     "         (defaults: smartwatch pack + synthetic watch day;\n"
+     "          open RUN.json in https://ui.perfetto.dev)\n",
+     CmdTrace},
+    {"plan-charge", "offline charge plan toward a deadline",
+     "  sdbsim plan-charge --battery NAME[:MAH] [--battery ...]\n"
+     "         --soc F --deadline-hours H [--target-soc F]\n",
+     CmdPlanCharge},
+    {"plan-discharge", "offline-optimal two-battery discharge plan",
+     "  sdbsim plan-discharge --battery A --battery B\n"
+     "         (--load-watts W --hours H | --trace FILE.csv) [--soc F]\n",
+     CmdPlanDischarge},
+    {"blackbox", "inspect a --flight-out post-mortem bundle",
+     "  sdbsim blackbox DIR [--kind KIND] [--battery N]\n"
+     "         (prints the bundle's manifest and recorded events; --kind\n"
+     "          filters by kebab-case event kind, --battery by battery index)\n",
+     CmdBlackbox},
+    {"help", "print this overview", "  sdbsim help\n", CmdHelp},
+};
+
+void PrintUsage() {
+  TextTable table({"command", "does"});
+  for (const CommandInfo& command : kCommands) {
+    table.AddRow({command.name, command.summary});
+  }
+  std::ostringstream overview;
+  table.Print(overview);
+  std::fprintf(stderr, "sdbsim — command-line driver for the SDB stack\n\n%s\nusage:\n",
+               overview.str().c_str());
+  for (const CommandInfo& command : kCommands) {
+    std::fprintf(stderr, "%s", command.usage);
+  }
+  std::fprintf(stderr,
+               "  any command also accepts --metrics-out METRICS.json and\n"
+               "  --flight-out DIR (write a post-mortem bundle; see blackbox)\n");
+}
+
+int CmdHelp(const Args&) {
+  PrintUsage();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1708,14 +1570,10 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  int rc = -1;
-  const CommandInfo* command = nullptr;
-  for (const CommandInfo& candidate : kCommands) {
-    if (args->command == candidate.name) {
-      command = &candidate;
-    }
-  }
-  if (command == nullptr) {
+  const CommandInfo* command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&args](const CommandInfo& c) { return args->command == c.name; });
+  if (command == std::end(kCommands)) {
     std::fprintf(stderr, "sdbsim: unknown command '%s'\n", args->command.c_str());
     PrintUsage();
     return 2;
@@ -1738,7 +1596,7 @@ int main(int argc, char** argv) {
     flight_scope.emplace(&flight.journal);
     sdb::SetCheckFailureHandler(FlightCheckFailureHandler);
   }
-  rc = command->handler(*args);
+  int rc = command->handler(*args);
   if (g_flight != nullptr) {
     if (!flight.written) {
       // Nothing harness-specific fired: dump the process journal, flagging
@@ -1761,15 +1619,7 @@ int main(int argc, char** argv) {
   }
   // Any command can dump the process-wide metrics registry on exit.
   if (!args->metrics_out.empty()) {
-    std::ofstream out(args->metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "sdbsim: cannot write %s\n", args->metrics_out.c_str());
-      return 2;
-    }
-    out << sdb::obs::MetricsRegistry::Global().ToJson() << "\n";
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "sdbsim: short write to %s\n", args->metrics_out.c_str());
+    if (!WriteTextFile(args->metrics_out, sdb::obs::MetricsRegistry::Global().ToJson() + "\n")) {
       return 2;
     }
     std::printf("metrics written to %s\n", args->metrics_out.c_str());
