@@ -4,11 +4,13 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,16 +79,24 @@ inline void PrintNote(const std::string& note) { std::cout << "  note: " << note
 
 // Worker count for the sweep harnesses: `--jobs N` flag, else the
 // SDB_THREADS env override, else hardware concurrency (via the pool's
-// resolution rules). Unknown flags are ignored so every bench keeps
-// accepting its other arguments (today: none).
+// resolution rules). A malformed, missing or non-positive N is a usage error
+// (exit 2), never a silently different worker count. Unknown flags are
+// ignored so every bench keeps accepting its other arguments.
 inline int ParseJobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      int n = std::atoi(argv[i + 1]);
-      if (n > 0) {
-        return n;
-      }
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") != 0) {
+      continue;
     }
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || n <= 0 ||
+        n > std::numeric_limits<int>::max()) {
+      std::cerr << "bench: --jobs wants a positive integer, got '" << text << "'\n";
+      std::exit(2);
+    }
+    return static_cast<int>(n);
   }
   return ThreadPool::DefaultThreadCount();
 }

@@ -1,7 +1,5 @@
 #include "src/core/checkpoint/rig_codec.h"
 
-#include <utility>
-
 #include "src/core/checkpoint/wire.h"
 
 namespace sdb {
@@ -9,509 +7,199 @@ namespace checkpoint {
 
 namespace {
 
-// --- Shared leaf codecs ------------------------------------------------------
+// Each *Fields function is one layout, in wire order, run by both the
+// encoder (Io = ByteWriter, const state) and the decoder (Io = ByteReader).
 
-void PutRng(ByteWriter& w, const RngState& rng) {
-  for (uint64_t word : rng.state) {
-    w.PutU64(word);
+template <typename Io, typename Rng>
+Status RngFields(Io& io, Rng& rng) {
+  for (auto& word : rng.state) {
+    SDB_RETURN_IF_ERROR(io.Field(word));
   }
-  w.PutBool(rng.has_cached_gaussian);
-  w.PutF64(rng.cached_gaussian);
+  return io.Fields(rng.has_cached_gaussian, rng.cached_gaussian);
 }
 
-Status ReadRng(ByteReader& r, RngState* rng) {
-  for (uint64_t& word : rng->state) {
-    SDB_RETURN_IF_ERROR(r.ReadU64(&word));
-  }
-  SDB_RETURN_IF_ERROR(r.ReadBool(&rng->has_cached_gaussian));
-  return r.ReadF64(&rng->cached_gaussian);
-}
-
-void PutLane(ByteWriter& w, const soa::LaneState& lane) {
-  w.PutF64(lane.electrical.soc);
-  w.PutF64(lane.electrical.v_rc_v);
-  w.PutF64(lane.electrical.resistance_scale);
-  w.PutU32(lane.electrical.ocv_hint);
-  w.PutU32(lane.electrical.dcir_hint);
-  w.PutF64(lane.electrical.rc_decay_dt_s);
-  w.PutF64(lane.electrical.rc_decay);
-  w.PutF64(lane.electrical.ocv_x);
-  w.PutF64(lane.electrical.ocv_cache);
-  w.PutF64(lane.aging.capacity_factor);
-  w.PutF64(lane.aging.cycle_count);
-  w.PutF64(lane.aging.cumulative_charge_c);
-  w.PutF64(lane.aging.weighted_current_sum);
-  w.PutF64(lane.aging.weighted_charge_sum);
-  w.PutF64(lane.aging.total_charge_in_c);
-  w.PutF64(lane.aging.total_charge_out_c);
-  w.PutF64(lane.thermal.temp_k);
-  w.PutF64(lane.thermal.total_heat_j);
-  w.PutF64(lane.thermal.decay_dt_s);
-  w.PutF64(lane.thermal.decay);
-  w.PutF64(lane.total_loss_j);
-}
-
-Status ReadLane(ByteReader& r, soa::LaneState* lane) {
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.soc));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.v_rc_v));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.resistance_scale));
-  SDB_RETURN_IF_ERROR(r.ReadU32(&lane->electrical.ocv_hint));
-  SDB_RETURN_IF_ERROR(r.ReadU32(&lane->electrical.dcir_hint));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.rc_decay_dt_s));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.rc_decay));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.ocv_x));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->electrical.ocv_cache));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.capacity_factor));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.cycle_count));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.cumulative_charge_c));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.weighted_current_sum));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.weighted_charge_sum));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.total_charge_in_c));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->aging.total_charge_out_c));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->thermal.temp_k));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->thermal.total_heat_j));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->thermal.decay_dt_s));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&lane->thermal.decay));
-  return r.ReadF64(&lane->total_loss_j);
-}
-
-void PutU8Vector(ByteWriter& w, const std::vector<uint8_t>& v) {
-  w.PutU64(v.size());
-  w.PutBytes(v.data(), v.size());
-}
-
-Status ReadU8Vector(ByteReader& r, std::vector<uint8_t>* out) {
-  uint64_t count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&count));
-  if (count > r.remaining()) {
-    return InvalidArgumentError("checkpoint: byte-vector length exceeds payload");
-  }
-  out->assign(static_cast<size_t>(count), 0);
-  for (auto& b : *out) {
-    SDB_RETURN_IF_ERROR(r.ReadU8(&b));
-  }
-  return Status::Ok();
-}
-
-void PutU64Vector(ByteWriter& w, const std::vector<uint64_t>& v) {
-  w.PutU64(v.size());
-  for (uint64_t x : v) {
-    w.PutU64(x);
-  }
-}
-
-Status ReadU64Vector(ByteReader& r, std::vector<uint64_t>* out) {
-  uint64_t count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&count));
-  if (count > r.remaining() / 8) {
-    return InvalidArgumentError("checkpoint: vector length exceeds payload");
-  }
-  out->assign(static_cast<size_t>(count), 0);
-  for (auto& x : *out) {
-    SDB_RETURN_IF_ERROR(r.ReadU64(&x));
-  }
-  return Status::Ok();
+template <typename Io, typename Lane>
+Status LaneFields(Io& io, Lane& lane) {
+  auto& e = lane.electrical;
+  auto& a = lane.aging;
+  auto& t = lane.thermal;
+  return io.Fields(e.soc, e.v_rc_v, e.resistance_scale, e.ocv_hint, e.dcir_hint, e.rc_decay_dt_s,
+                   e.rc_decay, e.ocv_x, e.ocv_cache, a.capacity_factor, a.cycle_count,
+                   a.cumulative_charge_c, a.weighted_current_sum, a.weighted_charge_sum,
+                   a.total_charge_in_c, a.total_charge_out_c, t.temp_k, t.total_heat_j,
+                   t.decay_dt_s, t.decay, lane.total_loss_j);
 }
 
 // SafetyReading variant: alternative index + raw magnitude. The index comes
 // back through the same table, so an out-of-range byte is corruption.
-void PutReading(ByteWriter& w, const SafetyReading& reading) {
-  w.PutU8(static_cast<uint8_t>(reading.index()));
-  w.PutF64(ReadingValue(reading));
-}
-
-Status ReadReading(ByteReader& r, SafetyReading* reading) {
-  uint8_t index = 0;
-  double value = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadU8(&index));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&value));
-  switch (index) {
-    case 0:
-      *reading = std::monostate{};
-      return Status::Ok();
-    case 1:
-      *reading = Amps(value);
-      return Status::Ok();
-    case 2:
-      *reading = Volts(value);
-      return Status::Ok();
-    case 3:
-      *reading = Kelvin(value);
-      return Status::Ok();
-    default:
-      return InvalidArgumentError("checkpoint: safety reading alternative out of range");
-  }
-}
-
-Status ReadEnumU8(ByteReader& r, uint8_t max_inclusive, const char* what, uint8_t* out) {
-  SDB_RETURN_IF_ERROR(r.ReadU8(out));
-  if (*out > max_inclusive) {
-    return InvalidArgumentError(std::string("checkpoint: ") + what + " enum byte out of range");
+template <typename Io, typename Reading>
+Status ReadingFields(Io& io, Reading& reading) {
+  uint8_t index = static_cast<uint8_t>(reading.index());
+  double value = ReadingValue(reading);
+  SDB_RETURN_IF_ERROR(io.Fields(index, value));
+  if constexpr (Io::kReads) {
+    switch (index) {
+      case 0:
+        reading = std::monostate{};
+        break;
+      case 1:
+        reading = Amps(value);
+        break;
+      case 2:
+        reading = Volts(value);
+        break;
+      case 3:
+        reading = Kelvin(value);
+        break;
+      default:
+        return InvalidArgumentError("checkpoint: safety reading alternative out of range");
+    }
   }
   return Status::Ok();
 }
 
-void PutStatus(ByteWriter& w, const BatteryStatus& s) {
-  w.PutF64(s.soc);
-  w.PutF64(s.terminal_voltage.value());
-  w.PutF64(s.cycle_count);
-  w.PutF64(s.full_capacity.value());
-  w.PutF64(s.last_current.value());
-  w.PutF64(s.temperature.value());
+template <typename Io, typename BatteryStatusT>
+Status StatusFields(Io& io, BatteryStatusT& s) {
+  return io.Fields(s.soc, s.terminal_voltage, s.cycle_count, s.full_capacity, s.last_current,
+                   s.temperature);
 }
 
-Status ReadStatus(ByteReader& r, BatteryStatus* s) {
-  double soc = 0.0, tv = 0.0, cycles = 0.0, cap = 0.0, amps = 0.0, temp = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&soc));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&tv));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&cycles));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&cap));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&amps));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&temp));
-  s->soc = soc;
-  s->terminal_voltage = Volts(tv);
-  s->cycle_count = cycles;
-  s->full_capacity = Coulombs(cap);
-  s->last_current = Amps(amps);
-  s->temperature = Kelvin(temp);
-  return Status::Ok();
+template <typename Io, typename Gauge>
+Status GaugeFields(Io& io, Gauge& gauge) {
+  SDB_RETURN_IF_ERROR(RngFields(io, gauge.rng));
+  return io.Fields(gauge.soc_estimate, gauge.last_current, gauge.last_voltage);
+}
+
+template <typename Io, typename State>
+Status MicroFields(Io& io, State& s) {
+  // A lane is 160 bytes on the wire, so 64 is a safe lower bound that still
+  // rejects a corrupt count before allocating.
+  SDB_RETURN_IF_ERROR(
+      io.Seq(s.lanes, 64, "lane count", [&io](auto& lane) { return LaneFields(io, lane); }));
+  SDB_RETURN_IF_ERROR(io.Field(s.open_circuit));
+  SDB_RETURN_IF_ERROR(
+      io.Seq(s.gauges, 64, "gauge count", [&io](auto& gauge) { return GaugeFields(io, gauge); }));
+  SDB_RETURN_IF_ERROR(RngFields(io, s.discharge_circuit.rng));
+  SDB_RETURN_IF_ERROR(io.Field(s.discharge_circuit.shortfall_latched));
+  SDB_RETURN_IF_ERROR(RngFields(io, s.charge_circuit.rng));
+  SDB_RETURN_IF_ERROR(io.Seq(s.charge_circuit.selected_profiles, 8, "vector length"));
+  SDB_RETURN_IF_ERROR(io.Fields(s.charge_ratios, s.discharge_ratios, s.transfer_active,
+                                s.transfer_from, s.transfer_to, s.transfer_power,
+                                s.transfer_remaining, s.awaiting_resync, s.in_reset,
+                                s.boot_count, s.has_fault_state));
+  // The injector block is present only when a fault plan was installed.
+  if (!s.has_fault_state) {
+    return Status::Ok();
+  }
+  SDB_RETURN_IF_ERROR(RngFields(io, s.fault.rng));
+  return io.Fields(s.fault.now, s.fault.dropped_queries, s.fault.corrupted_replies,
+                   s.fault.micro_reboots, s.fault.reboot_fired);
+}
+
+template <typename Io, typename Fault>
+Status FaultRecordFields(Io& io, Fault& fault) {
+  SDB_RETURN_IF_ERROR(io.Enum(fault.kind, FaultKind::kOverTemperature, "fault kind"));
+  SDB_RETURN_IF_ERROR(ReadingFields(io, fault.observed));
+  return ReadingFields(io, fault.limit);
+}
+
+template <typename Io, typename Lifecycle>
+Status LifecycleFields(Io& io, Lifecycle& l) {
+  SDB_RETURN_IF_ERROR(io.Enum(l.health, BatteryHealth::kProbing, "health"));
+  return io.Fields(l.dwell_remaining, l.probe_remaining, l.next_dwell, l.condition_clear, l.trips,
+                   l.recoveries);
+}
+
+template <typename Io, typename Transition>
+Status TransitionFields(Io& io, Transition& t) {
+  SDB_RETURN_IF_ERROR(io.Field(t.battery));
+  SDB_RETURN_IF_ERROR(io.Enum(t.from, BatteryHealth::kProbing, "health"));
+  SDB_RETURN_IF_ERROR(io.Enum(t.to, BatteryHealth::kProbing, "health"));
+  SDB_RETURN_IF_ERROR(io.Field(t.at));
+  return io.Enum(t.kind, FaultKind::kOverTemperature, "fault kind");
+}
+
+template <typename Io, typename State>
+Status SupervisorFields(Io& io, State& s) {
+  SDB_RETURN_IF_ERROR(io.Seq(s.faults, 19, "fault-record count",
+                             [&io](auto& fault) { return FaultRecordFields(io, fault); }));
+  SDB_RETURN_IF_ERROR(io.Seq(s.lifecycle, 42, "lifecycle count",
+                             [&io](auto& l) { return LifecycleFields(io, l); }));
+  SDB_RETURN_IF_ERROR(io.Seq(s.transitions, 19, "transition count",
+                             [&io](auto& t) { return TransitionFields(io, t); }));
+  return io.Fields(s.transitions_dropped, s.clock);
+}
+
+template <typename Io, typename State>
+Status LinkFields(Io& io, State& s) {
+  SDB_RETURN_IF_ERROR(io.Fields(s.client.next_seq, s.client.last_boot_count, s.client.resyncs,
+                                s.server.known_boot, s.server.have_last, s.server.last_seq,
+                                s.server.last_type));
+  SDB_RETURN_IF_ERROR(io.Seq(s.server.last_payload, 1, "byte-vector length"));
+  SDB_RETURN_IF_ERROR(io.Seq(s.server.last_response, 1, "byte-vector length"));
+  return io.Field(s.server.replayed_commands);
+}
+
+template <typename Io, typename State>
+Status RuntimeFields(Io& io, State& s) {
+  SDB_RETURN_IF_ERROR(io.Fields(s.directives.charging, s.directives.discharging, s.has_hint,
+                                s.hint.time_until, s.hint.expected_power, s.hint.duration,
+                                s.last_ccb, s.last_rbl, s.elapsed, s.last_discharge_ratios,
+                                s.last_charge_ratios));
+  SDB_RETURN_IF_ERROR(io.Seq(s.last_statuses, 48, "status count",
+                             [&io](auto& status) { return StatusFields(io, status); }));
+  auto& r = s.resilience;
+  return io.Fields(s.consecutive_stale, s.degraded, s.excluded, s.prev_excluded, s.ramp,
+                   s.last_link_resyncs, r.link_retries, r.link_failures, r.stale_updates,
+                   r.degraded_entries, r.degraded_exits, r.masked_faults, r.quarantines,
+                   r.reintegrations, r.resyncs, r.backoff_total);
 }
 
 }  // namespace
 
-// --- Microcontroller ---------------------------------------------------------
-
 std::vector<uint8_t> EncodeMicroState(const MicroState& state) {
   ByteWriter w;
-  w.PutU64(state.lanes.size());
-  for (const soa::LaneState& lane : state.lanes) {
-    PutLane(w, lane);
-  }
-  w.PutBoolVector(state.open_circuit);
-  w.PutU64(state.gauges.size());
-  for (const FuelGaugeState& gauge : state.gauges) {
-    PutRng(w, gauge.rng);
-    w.PutF64(gauge.soc_estimate);
-    w.PutF64(gauge.last_current.value());
-    w.PutF64(gauge.last_voltage.value());
-  }
-  PutRng(w, state.discharge_circuit.rng);
-  w.PutBool(state.discharge_circuit.shortfall_latched);
-  PutRng(w, state.charge_circuit.rng);
-  PutU64Vector(w, state.charge_circuit.selected_profiles);
-  w.PutF64Vector(state.charge_ratios);
-  w.PutF64Vector(state.discharge_ratios);
-  w.PutBool(state.transfer_active);
-  w.PutU64(state.transfer_from);
-  w.PutU64(state.transfer_to);
-  w.PutF64(state.transfer_power.value());
-  w.PutF64(state.transfer_remaining.value());
-  w.PutBool(state.awaiting_resync);
-  w.PutBool(state.in_reset);
-  w.PutU32(state.boot_count);
-  w.PutBool(state.has_fault_state);
-  if (state.has_fault_state) {
-    PutRng(w, state.fault.rng);
-    w.PutF64(state.fault.now.value());
-    w.PutU64(state.fault.dropped_queries);
-    w.PutU64(state.fault.corrupted_replies);
-    w.PutU64(state.fault.micro_reboots);
-    w.PutBoolVector(state.fault.reboot_fired);
-  }
-  return w.TakeBytes();
+  return w.Finish(MicroFields(w, state));
 }
 
 StatusOr<MicroState> DecodeMicroState(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   MicroState state;
-  uint64_t lane_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&lane_count));
-  // 21 fields x 8 bytes is a lower bound per lane; reject corrupt counts
-  // before allocating.
-  if (lane_count > r.remaining() / 64) {
-    return InvalidArgumentError("checkpoint: lane count exceeds payload");
-  }
-  state.lanes.resize(static_cast<size_t>(lane_count));
-  for (auto& lane : state.lanes) {
-    SDB_RETURN_IF_ERROR(ReadLane(r, &lane));
-  }
-  SDB_RETURN_IF_ERROR(r.ReadBoolVector(&state.open_circuit));
-  uint64_t gauge_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&gauge_count));
-  if (gauge_count > r.remaining() / 64) {
-    return InvalidArgumentError("checkpoint: gauge count exceeds payload");
-  }
-  state.gauges.resize(static_cast<size_t>(gauge_count));
-  for (auto& gauge : state.gauges) {
-    SDB_RETURN_IF_ERROR(ReadRng(r, &gauge.rng));
-    double current = 0.0, volts = 0.0;
-    SDB_RETURN_IF_ERROR(r.ReadF64(&gauge.soc_estimate));
-    SDB_RETURN_IF_ERROR(r.ReadF64(&current));
-    SDB_RETURN_IF_ERROR(r.ReadF64(&volts));
-    gauge.last_current = Amps(current);
-    gauge.last_voltage = Volts(volts);
-  }
-  SDB_RETURN_IF_ERROR(ReadRng(r, &state.discharge_circuit.rng));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.discharge_circuit.shortfall_latched));
-  SDB_RETURN_IF_ERROR(ReadRng(r, &state.charge_circuit.rng));
-  SDB_RETURN_IF_ERROR(ReadU64Vector(r, &state.charge_circuit.selected_profiles));
-  SDB_RETURN_IF_ERROR(r.ReadF64Vector(&state.charge_ratios));
-  SDB_RETURN_IF_ERROR(r.ReadF64Vector(&state.discharge_ratios));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.transfer_active));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.transfer_from));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.transfer_to));
-  double transfer_w = 0.0, transfer_s = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&transfer_w));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&transfer_s));
-  state.transfer_power = Watts(transfer_w);
-  state.transfer_remaining = Seconds(transfer_s);
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.awaiting_resync));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.in_reset));
-  SDB_RETURN_IF_ERROR(r.ReadU32(&state.boot_count));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.has_fault_state));
-  if (state.has_fault_state) {
-    SDB_RETURN_IF_ERROR(ReadRng(r, &state.fault.rng));
-    double now_s = 0.0;
-    SDB_RETURN_IF_ERROR(r.ReadF64(&now_s));
-    state.fault.now = Seconds(now_s);
-    SDB_RETURN_IF_ERROR(r.ReadU64(&state.fault.dropped_queries));
-    SDB_RETURN_IF_ERROR(r.ReadU64(&state.fault.corrupted_replies));
-    SDB_RETURN_IF_ERROR(r.ReadU64(&state.fault.micro_reboots));
-    SDB_RETURN_IF_ERROR(r.ReadBoolVector(&state.fault.reboot_fired));
-  }
-  SDB_RETURN_IF_ERROR(r.ExpectExhausted());
-  return state;
+  return r.Finish(MicroFields(r, state), state);
 }
-
-// --- Safety supervisor -------------------------------------------------------
 
 std::vector<uint8_t> EncodeSupervisorState(const SafetySupervisor::SupervisorState& state) {
   ByteWriter w;
-  w.PutU64(state.faults.size());
-  for (const FaultRecord& fault : state.faults) {
-    w.PutU8(static_cast<uint8_t>(fault.kind));
-    PutReading(w, fault.observed);
-    PutReading(w, fault.limit);
-  }
-  w.PutU64(state.lifecycle.size());
-  for (const SafetySupervisor::LifecycleState& s : state.lifecycle) {
-    w.PutU8(static_cast<uint8_t>(s.health));
-    w.PutF64(s.dwell_remaining.value());
-    w.PutF64(s.probe_remaining.value());
-    w.PutF64(s.next_dwell.value());
-    w.PutBool(s.condition_clear);
-    w.PutU64(s.trips);
-    w.PutU64(s.recoveries);
-  }
-  w.PutU64(state.transitions.size());
-  for (const SafetySupervisor::Transition& t : state.transitions) {
-    w.PutU64(t.battery);
-    w.PutU8(static_cast<uint8_t>(t.from));
-    w.PutU8(static_cast<uint8_t>(t.to));
-    w.PutF64(t.at.value());
-    w.PutU8(static_cast<uint8_t>(t.kind));
-  }
-  w.PutU64(state.transitions_dropped);
-  w.PutF64(state.clock.value());
-  return w.TakeBytes();
+  return w.Finish(SupervisorFields(w, state));
 }
 
 StatusOr<SafetySupervisor::SupervisorState> DecodeSupervisorState(
     const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   SafetySupervisor::SupervisorState state;
-  uint64_t fault_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&fault_count));
-  if (fault_count > r.remaining() / 19) {
-    return InvalidArgumentError("checkpoint: fault-record count exceeds payload");
-  }
-  state.faults.resize(static_cast<size_t>(fault_count));
-  for (auto& fault : state.faults) {
-    uint8_t kind = 0;
-    SDB_RETURN_IF_ERROR(
-        ReadEnumU8(r, static_cast<uint8_t>(FaultKind::kOverTemperature), "fault kind", &kind));
-    fault.kind = static_cast<FaultKind>(kind);
-    SDB_RETURN_IF_ERROR(ReadReading(r, &fault.observed));
-    SDB_RETURN_IF_ERROR(ReadReading(r, &fault.limit));
-  }
-  uint64_t lifecycle_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&lifecycle_count));
-  if (lifecycle_count > r.remaining() / 42) {
-    return InvalidArgumentError("checkpoint: lifecycle count exceeds payload");
-  }
-  state.lifecycle.resize(static_cast<size_t>(lifecycle_count));
-  for (auto& s : state.lifecycle) {
-    uint8_t health = 0;
-    SDB_RETURN_IF_ERROR(
-        ReadEnumU8(r, static_cast<uint8_t>(BatteryHealth::kProbing), "health", &health));
-    s.health = static_cast<BatteryHealth>(health);
-    double dwell = 0.0, probe = 0.0, next = 0.0;
-    SDB_RETURN_IF_ERROR(r.ReadF64(&dwell));
-    SDB_RETURN_IF_ERROR(r.ReadF64(&probe));
-    SDB_RETURN_IF_ERROR(r.ReadF64(&next));
-    s.dwell_remaining = Seconds(dwell);
-    s.probe_remaining = Seconds(probe);
-    s.next_dwell = Seconds(next);
-    SDB_RETURN_IF_ERROR(r.ReadBool(&s.condition_clear));
-    SDB_RETURN_IF_ERROR(r.ReadU64(&s.trips));
-    SDB_RETURN_IF_ERROR(r.ReadU64(&s.recoveries));
-  }
-  uint64_t transition_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&transition_count));
-  if (transition_count > r.remaining() / 19) {
-    return InvalidArgumentError("checkpoint: transition count exceeds payload");
-  }
-  state.transitions.resize(static_cast<size_t>(transition_count));
-  for (auto& t : state.transitions) {
-    uint64_t battery = 0;
-    SDB_RETURN_IF_ERROR(r.ReadU64(&battery));
-    t.battery = static_cast<size_t>(battery);
-    uint8_t from = 0, to = 0, kind = 0;
-    SDB_RETURN_IF_ERROR(
-        ReadEnumU8(r, static_cast<uint8_t>(BatteryHealth::kProbing), "health", &from));
-    SDB_RETURN_IF_ERROR(
-        ReadEnumU8(r, static_cast<uint8_t>(BatteryHealth::kProbing), "health", &to));
-    t.from = static_cast<BatteryHealth>(from);
-    t.to = static_cast<BatteryHealth>(to);
-    double at = 0.0;
-    SDB_RETURN_IF_ERROR(r.ReadF64(&at));
-    t.at = Seconds(at);
-    SDB_RETURN_IF_ERROR(
-        ReadEnumU8(r, static_cast<uint8_t>(FaultKind::kOverTemperature), "fault kind", &kind));
-    t.kind = static_cast<FaultKind>(kind);
-  }
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.transitions_dropped));
-  double clock_s = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&clock_s));
-  state.clock = Seconds(clock_s);
-  SDB_RETURN_IF_ERROR(r.ExpectExhausted());
-  return state;
+  return r.Finish(SupervisorFields(r, state), state);
 }
-
-// --- Command link ------------------------------------------------------------
 
 std::vector<uint8_t> EncodeLinkState(const LinkState& state) {
   ByteWriter w;
-  w.PutU16(state.client.next_seq);
-  w.PutU32(state.client.last_boot_count);
-  w.PutU64(state.client.resyncs);
-  w.PutU32(state.server.known_boot);
-  w.PutBool(state.server.have_last);
-  w.PutU16(state.server.last_seq);
-  w.PutU8(state.server.last_type);
-  PutU8Vector(w, state.server.last_payload);
-  PutU8Vector(w, state.server.last_response);
-  w.PutU64(state.server.replayed_commands);
-  return w.TakeBytes();
+  return w.Finish(LinkFields(w, state));
 }
 
 StatusOr<LinkState> DecodeLinkState(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   LinkState state;
-  SDB_RETURN_IF_ERROR(r.ReadU16(&state.client.next_seq));
-  SDB_RETURN_IF_ERROR(r.ReadU32(&state.client.last_boot_count));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.client.resyncs));
-  SDB_RETURN_IF_ERROR(r.ReadU32(&state.server.known_boot));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.server.have_last));
-  SDB_RETURN_IF_ERROR(r.ReadU16(&state.server.last_seq));
-  SDB_RETURN_IF_ERROR(r.ReadU8(&state.server.last_type));
-  SDB_RETURN_IF_ERROR(ReadU8Vector(r, &state.server.last_payload));
-  SDB_RETURN_IF_ERROR(ReadU8Vector(r, &state.server.last_response));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.server.replayed_commands));
-  SDB_RETURN_IF_ERROR(r.ExpectExhausted());
-  return state;
+  return r.Finish(LinkFields(r, state), state);
 }
-
-// --- Runtime -----------------------------------------------------------------
 
 std::vector<uint8_t> EncodeRuntimeState(const RuntimeState& state) {
   ByteWriter w;
-  w.PutF64(state.directives.charging);
-  w.PutF64(state.directives.discharging);
-  w.PutBool(state.has_hint);
-  w.PutF64(state.hint.time_until.value());
-  w.PutF64(state.hint.expected_power.value());
-  w.PutF64(state.hint.duration.value());
-  w.PutF64(state.last_ccb);
-  w.PutF64(state.last_rbl.value());
-  w.PutF64(state.elapsed.value());
-  w.PutF64Vector(state.last_discharge_ratios);
-  w.PutF64Vector(state.last_charge_ratios);
-  w.PutU64(state.last_statuses.size());
-  for (const BatteryStatus& s : state.last_statuses) {
-    PutStatus(w, s);
-  }
-  w.PutU64(static_cast<uint64_t>(state.consecutive_stale));
-  w.PutBool(state.degraded);
-  w.PutBoolVector(state.excluded);
-  w.PutBoolVector(state.prev_excluded);
-  w.PutF64Vector(state.ramp);
-  w.PutU64(state.last_link_resyncs);
-  w.PutU64(state.resilience.link_retries);
-  w.PutU64(state.resilience.link_failures);
-  w.PutU64(state.resilience.stale_updates);
-  w.PutU64(state.resilience.degraded_entries);
-  w.PutU64(state.resilience.degraded_exits);
-  w.PutU64(state.resilience.masked_faults);
-  w.PutU64(state.resilience.quarantines);
-  w.PutU64(state.resilience.reintegrations);
-  w.PutU64(state.resilience.resyncs);
-  w.PutF64(state.resilience.backoff_total.value());
-  return w.TakeBytes();
+  return w.Finish(RuntimeFields(w, state));
 }
 
 StatusOr<RuntimeState> DecodeRuntimeState(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   RuntimeState state;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&state.directives.charging));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&state.directives.discharging));
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.has_hint));
-  double hint_until = 0.0, hint_power = 0.0, hint_duration = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&hint_until));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&hint_power));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&hint_duration));
-  state.hint.time_until = Seconds(hint_until);
-  state.hint.expected_power = Watts(hint_power);
-  state.hint.duration = Seconds(hint_duration);
-  SDB_RETURN_IF_ERROR(r.ReadF64(&state.last_ccb));
-  double rbl_j = 0.0, elapsed_s = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&rbl_j));
-  SDB_RETURN_IF_ERROR(r.ReadF64(&elapsed_s));
-  state.last_rbl = Joules(rbl_j);
-  state.elapsed = Seconds(elapsed_s);
-  SDB_RETURN_IF_ERROR(r.ReadF64Vector(&state.last_discharge_ratios));
-  SDB_RETURN_IF_ERROR(r.ReadF64Vector(&state.last_charge_ratios));
-  uint64_t status_count = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&status_count));
-  if (status_count > r.remaining() / 48) {
-    return InvalidArgumentError("checkpoint: status count exceeds payload");
-  }
-  state.last_statuses.resize(static_cast<size_t>(status_count));
-  for (auto& s : state.last_statuses) {
-    SDB_RETURN_IF_ERROR(ReadStatus(r, &s));
-  }
-  uint64_t stale = 0;
-  SDB_RETURN_IF_ERROR(r.ReadU64(&stale));
-  state.consecutive_stale = static_cast<int64_t>(stale);
-  SDB_RETURN_IF_ERROR(r.ReadBool(&state.degraded));
-  SDB_RETURN_IF_ERROR(r.ReadBoolVector(&state.excluded));
-  SDB_RETURN_IF_ERROR(r.ReadBoolVector(&state.prev_excluded));
-  SDB_RETURN_IF_ERROR(r.ReadF64Vector(&state.ramp));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.last_link_resyncs));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.link_retries));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.link_failures));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.stale_updates));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.degraded_entries));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.degraded_exits));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.masked_faults));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.quarantines));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.reintegrations));
-  SDB_RETURN_IF_ERROR(r.ReadU64(&state.resilience.resyncs));
-  double backoff_s = 0.0;
-  SDB_RETURN_IF_ERROR(r.ReadF64(&backoff_s));
-  state.resilience.backoff_total = Seconds(backoff_s);
-  SDB_RETURN_IF_ERROR(r.ExpectExhausted());
-  return state;
+  return r.Finish(RuntimeFields(r, state), state);
 }
 
 }  // namespace checkpoint

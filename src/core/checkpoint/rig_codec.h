@@ -1,11 +1,14 @@
 // Section codecs for the rig's checkpointable components (DESIGN.md §16):
 // the microcontroller (pack lanes, gauges, circuits, fault injector), the
 // safety supervisor, the command-link endpoints and the SDB Runtime. Each
-// Encode* produces one section payload for the snapshot container; each
-// Decode* is its truncation-checked inverse (kInvalidArgument on damage).
+// section's layout is one field list (rig_codec.cc), shared by encode and
+// decode through wire.h's field vocabulary: Encode* runs it with a
+// ByteWriter to produce the section payload, Decode* runs it with a
+// ByteReader and is the truncation-checked inverse (kInvalidArgument on
+// damage, trailing bytes included).
 //
 // The os-layer sections (predictor, classifier) and the simulator loop
-// section are encoded at the emu layer (src/emu/crash.cc) — core cannot
+// section are field lists at the emu layer (src/emu/crash.cc) — core cannot
 // depend on os/emu.
 #ifndef SRC_CORE_CHECKPOINT_RIG_CODEC_H_
 #define SRC_CORE_CHECKPOINT_RIG_CODEC_H_

@@ -31,19 +31,19 @@ void Snapshot::AddSection(uint32_t id, std::vector<uint8_t> bytes) {
 std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   ByteWriter payload;
   for (const Section& section : snapshot.sections) {
-    payload.PutU32(section.id);
-    payload.PutU64(section.bytes.size());
+    payload.Put(section.id);
+    payload.Put(section.bytes.size());
     payload.PutBytes(section.bytes.data(), section.bytes.size());
   }
 
   ByteWriter out;
-  out.PutU64(kMagic);
-  out.PutU16(snapshot.version);
-  out.PutU16(0);  // reserved
-  out.PutU32(0);  // crc32 placeholder, stamped below
-  out.PutU64(snapshot.config_digest);
-  out.PutU64(snapshot.generation);
-  out.PutU64(payload.size());
+  out.Put(kMagic);
+  out.Put(snapshot.version);
+  out.Put(uint16_t{0});  // reserved
+  out.Put(uint32_t{0});  // crc32 placeholder, stamped below
+  out.Put(snapshot.config_digest);
+  out.Put(snapshot.generation);
+  out.Put(payload.size());
   out.PutBytes(payload.bytes().data(), payload.size());
 
   std::vector<uint8_t> bytes = out.TakeBytes();
@@ -67,13 +67,13 @@ StatusOr<Snapshot> DecodeSnapshot(const std::vector<uint8_t>& bytes) {
   uint32_t stored_crc = 0;
   Snapshot snapshot;
   uint64_t payload_size = 0;
-  SDB_RETURN_IF_ERROR(header.ReadU64(&magic));
-  SDB_RETURN_IF_ERROR(header.ReadU16(&version));
-  SDB_RETURN_IF_ERROR(header.ReadU16(&reserved));
-  SDB_RETURN_IF_ERROR(header.ReadU32(&stored_crc));
-  SDB_RETURN_IF_ERROR(header.ReadU64(&snapshot.config_digest));
-  SDB_RETURN_IF_ERROR(header.ReadU64(&snapshot.generation));
-  SDB_RETURN_IF_ERROR(header.ReadU64(&payload_size));
+  SDB_RETURN_IF_ERROR(header.Field(magic));
+  SDB_RETURN_IF_ERROR(header.Field(version));
+  SDB_RETURN_IF_ERROR(header.Field(reserved));
+  SDB_RETURN_IF_ERROR(header.Field(stored_crc));
+  SDB_RETURN_IF_ERROR(header.Field(snapshot.config_digest));
+  SDB_RETURN_IF_ERROR(header.Field(snapshot.generation));
+  SDB_RETURN_IF_ERROR(header.Field(payload_size));
   snapshot.version = version;
   if (magic != kMagic) {
     return InvalidArgumentError("checkpoint: bad magic");
@@ -100,8 +100,8 @@ StatusOr<Snapshot> DecodeSnapshot(const std::vector<uint8_t>& bytes) {
   while (payload.remaining() > 0) {
     uint32_t id = 0;
     uint64_t size = 0;
-    SDB_RETURN_IF_ERROR(payload.ReadU32(&id));
-    SDB_RETURN_IF_ERROR(payload.ReadU64(&size));
+    SDB_RETURN_IF_ERROR(payload.Field(id));
+    SDB_RETURN_IF_ERROR(payload.Field(size));
     if (size > payload.remaining()) {
       return InvalidArgumentError("checkpoint: section " + std::to_string(id) +
                                   " overruns payload");

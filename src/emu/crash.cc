@@ -37,53 +37,34 @@ Duration TimeOfDay(Duration now) {
 }
 
 // kSectionPredictor payload.
+template <typename Io, typename State>
+Status PredictorFields(Io& io, State& s) {
+  SDB_RETURN_IF_ERROR(io.Field(s.days));
+  SDB_RETURN_IF_ERROR(io.Seq(s.high_days, 8, "predictor hour count"));
+  return io.Field(s.power_sum_w);
+}
+
 std::vector<uint8_t> EncodePredictorState(const PredictorState& state) {
   checkpoint::ByteWriter writer;
-  writer.PutU64(static_cast<uint64_t>(state.days));
-  writer.PutU64(state.high_days.size());
-  for (int64_t d : state.high_days) {
-    writer.PutU64(static_cast<uint64_t>(d));
-  }
-  writer.PutF64Vector(state.power_sum_w);
-  return writer.TakeBytes();
+  return writer.Finish(PredictorFields(writer, state));
 }
 
 StatusOr<PredictorState> DecodePredictorState(const std::vector<uint8_t>& bytes) {
   checkpoint::ByteReader reader(bytes);
   PredictorState state;
-  uint64_t days = 0;
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&days));
-  state.days = static_cast<int64_t>(days);
-  uint64_t count = 0;
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining() / 8) {
-    return InvalidArgumentError("checkpoint: predictor hour count exceeds payload");
-  }
-  state.high_days.resize(static_cast<size_t>(count));
-  for (auto& d : state.high_days) {
-    uint64_t v = 0;
-    SDB_RETURN_IF_ERROR(reader.ReadU64(&v));
-    d = static_cast<int64_t>(v);
-  }
-  SDB_RETURN_IF_ERROR(reader.ReadF64Vector(&state.power_sum_w));
-  SDB_RETURN_IF_ERROR(reader.ExpectExhausted());
-  return state;
+  return reader.Finish(PredictorFields(reader, state), state);
 }
 
 // kSectionClassifier payload: the rolling sample window, oldest first.
 std::vector<uint8_t> EncodeClassifierState(const std::vector<double>& samples_w) {
   checkpoint::ByteWriter writer;
-  writer.PutF64Vector(samples_w);
-  return writer.TakeBytes();
+  return writer.Finish(writer.Field(samples_w));
 }
 
-StatusOr<std::vector<double>> DecodeClassifierState(
-    const std::vector<uint8_t>& bytes) {
+StatusOr<std::vector<double>> DecodeClassifierState(const std::vector<uint8_t>& bytes) {
   checkpoint::ByteReader reader(bytes);
   std::vector<double> samples;
-  SDB_RETURN_IF_ERROR(reader.ReadF64Vector(&samples));
-  SDB_RETURN_IF_ERROR(reader.ExpectExhausted());
-  return samples;
+  return reader.Finish(reader.Field(samples), samples);
 }
 
 // The os-layer components ride on top of the shared rig: they die with the
@@ -418,134 +399,56 @@ StatusOr<std::vector<CorpusCaseResult>> ValidateTornCorpus(
   return results;
 }
 
+namespace {
+
+// kSectionSimLoop payload.
+template <typename Io, typename Event>
+Status SimEventFields(Io& io, Event& event) {
+  // A plain byte rather than Enum: this check's message names the byte.
+  uint8_t kind = static_cast<uint8_t>(event.kind);
+  SDB_RETURN_IF_ERROR(io.Field(kind));
+  if constexpr (Io::kReads) {
+    if (kind > static_cast<uint8_t>(SimEventKind::kTransferEnded)) {
+      return InvalidArgumentError("checkpoint: sim event kind " + std::to_string(kind) +
+                                  " out of range");
+    }
+    event.kind = static_cast<SimEventKind>(kind);
+  }
+  return io.Fields(event.time, event.battery);
+}
+
+template <typename Io, typename Hour>
+Status HourlyFields(Io& io, Hour& hour) {
+  return io.Fields(hour.load_energy, hour.battery_loss, hour.circuit_loss, hour.degraded,
+                   hour.link_retries, hour.link_failures, hour.stale_updates);
+}
+
+template <typename Io, typename State>
+Status SimLoopFields(Io& io, State& s) {
+  auto& partial = s.partial;
+  SDB_RETURN_IF_ERROR(io.Fields(s.t, s.next_replan, s.next_checkpoint, s.transfer_was_active,
+                                partial.elapsed, partial.first_shortfall, partial.delivered,
+                                partial.battery_loss, partial.circuit_loss, partial.charged,
+                                partial.final_soc));
+  SDB_RETURN_IF_ERROR(io.Seq(partial.depletion_time, 9, "depletion count"));
+  SDB_RETURN_IF_ERROR(io.Seq(partial.events, 17, "event count",
+                             [&io](auto& event) { return SimEventFields(io, event); }));
+  SDB_RETURN_IF_ERROR(io.Seq(partial.hourly, 49, "hourly count",
+                             [&io](auto& hour) { return HourlyFields(io, hour); }));
+  return io.Field(partial.update_failures);
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeSimLoopState(const SimLoopState& state) {
   checkpoint::ByteWriter writer;
-  writer.PutF64(state.t.value());
-  writer.PutF64(state.next_replan.value());
-  writer.PutF64(state.next_checkpoint.value());
-  writer.PutBool(state.transfer_was_active);
-  const SimResult& partial = state.partial;
-  writer.PutF64(partial.elapsed.value());
-  writer.PutBool(partial.first_shortfall.has_value());
-  writer.PutF64(partial.first_shortfall.has_value() ? partial.first_shortfall->value()
-                                                    : 0.0);
-  writer.PutF64(partial.delivered.value());
-  writer.PutF64(partial.battery_loss.value());
-  writer.PutF64(partial.circuit_loss.value());
-  writer.PutF64(partial.charged.value());
-  writer.PutF64Vector(partial.final_soc);
-  writer.PutU64(partial.depletion_time.size());
-  for (const std::optional<Duration>& depletion : partial.depletion_time) {
-    writer.PutBool(depletion.has_value());
-    writer.PutF64(depletion.has_value() ? depletion->value() : 0.0);
-  }
-  writer.PutU64(partial.events.size());
-  for (const SimEvent& event : partial.events) {
-    writer.PutU8(static_cast<uint8_t>(event.kind));
-    writer.PutF64(event.time.value());
-    writer.PutU64(static_cast<uint64_t>(static_cast<int64_t>(event.battery)));
-  }
-  writer.PutU64(partial.hourly.size());
-  for (const HourlyStats& hour : partial.hourly) {
-    writer.PutF64(hour.load_energy.value());
-    writer.PutF64(hour.battery_loss.value());
-    writer.PutF64(hour.circuit_loss.value());
-    writer.PutBool(hour.degraded);
-    writer.PutU64(hour.link_retries);
-    writer.PutU64(hour.link_failures);
-    writer.PutU64(hour.stale_updates);
-  }
-  writer.PutU64(static_cast<uint64_t>(static_cast<int64_t>(partial.update_failures)));
-  return writer.TakeBytes();
+  return writer.Finish(SimLoopFields(writer, state));
 }
 
 StatusOr<SimLoopState> DecodeSimLoopState(const std::vector<uint8_t>& bytes) {
   checkpoint::ByteReader reader(bytes);
   SimLoopState state;
-  double t = 0.0;
-  double next_replan = 0.0;
-  double next_checkpoint = 0.0;
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&t));
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&next_replan));
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&next_checkpoint));
-  state.t = Seconds(t);
-  state.next_replan = Seconds(next_replan);
-  state.next_checkpoint = Seconds(next_checkpoint);
-  SDB_RETURN_IF_ERROR(reader.ReadBool(&state.transfer_was_active));
-  SimResult& partial = state.partial;
-  double value = 0.0;
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  partial.elapsed = Seconds(value);
-  bool has_shortfall = false;
-  SDB_RETURN_IF_ERROR(reader.ReadBool(&has_shortfall));
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  if (has_shortfall) {
-    partial.first_shortfall = Seconds(value);
-  }
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  partial.delivered = Joules(value);
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  partial.battery_loss = Joules(value);
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  partial.circuit_loss = Joules(value);
-  SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-  partial.charged = Joules(value);
-  SDB_RETURN_IF_ERROR(reader.ReadF64Vector(&partial.final_soc));
-  uint64_t count = 0;
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining() / 9) {
-    return InvalidArgumentError("checkpoint: depletion count exceeds payload");
-  }
-  partial.depletion_time.assign(static_cast<size_t>(count), std::nullopt);
-  for (auto& depletion : partial.depletion_time) {
-    bool has = false;
-    SDB_RETURN_IF_ERROR(reader.ReadBool(&has));
-    SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-    if (has) {
-      depletion = Seconds(value);
-    }
-  }
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining() / 17) {
-    return InvalidArgumentError("checkpoint: event count exceeds payload");
-  }
-  partial.events.resize(static_cast<size_t>(count));
-  for (SimEvent& event : partial.events) {
-    uint8_t kind = 0;
-    SDB_RETURN_IF_ERROR(reader.ReadU8(&kind));
-    if (kind > static_cast<uint8_t>(SimEventKind::kTransferEnded)) {
-      return InvalidArgumentError("checkpoint: sim event kind " +
-                                  std::to_string(kind) + " out of range");
-    }
-    event.kind = static_cast<SimEventKind>(kind);
-    SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-    event.time = Seconds(value);
-    uint64_t battery = 0;
-    SDB_RETURN_IF_ERROR(reader.ReadU64(&battery));
-    event.battery = static_cast<int>(static_cast<int64_t>(battery));
-  }
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining() / 49) {
-    return InvalidArgumentError("checkpoint: hourly count exceeds payload");
-  }
-  partial.hourly.resize(static_cast<size_t>(count));
-  for (HourlyStats& hour : partial.hourly) {
-    SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-    hour.load_energy = Joules(value);
-    SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-    hour.battery_loss = Joules(value);
-    SDB_RETURN_IF_ERROR(reader.ReadF64(&value));
-    hour.circuit_loss = Joules(value);
-    SDB_RETURN_IF_ERROR(reader.ReadBool(&hour.degraded));
-    SDB_RETURN_IF_ERROR(reader.ReadU64(&hour.link_retries));
-    SDB_RETURN_IF_ERROR(reader.ReadU64(&hour.link_failures));
-    SDB_RETURN_IF_ERROR(reader.ReadU64(&hour.stale_updates));
-  }
-  uint64_t update_failures = 0;
-  SDB_RETURN_IF_ERROR(reader.ReadU64(&update_failures));
-  partial.update_failures = static_cast<int>(static_cast<int64_t>(update_failures));
-  SDB_RETURN_IF_ERROR(reader.ExpectExhausted());
-  return state;
+  return reader.Finish(SimLoopFields(reader, state), state);
 }
 
 std::string DescribeSimResultDivergence(const SimResult& baseline,

@@ -85,6 +85,20 @@ bool ParseNumber(const std::string& what, const std::string& text, double* out,
   return true;
 }
 
+bool ParseFraction(const std::string& what, const std::string& text, double* out) {
+  double parsed = 0.0;
+  if (!ParseNumber(what, text, &parsed)) {
+    return false;
+  }
+  if (!(parsed >= 0.0 && parsed <= 1.0)) {
+    std::fprintf(stderr, "sdbsim: %s wants a fraction in [0, 1], got '%s'\n", what.c_str(),
+                 text.c_str());
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 bool ParseInt(const std::string& what, const std::string& text, bool positive, int* out) {
   char* end = nullptr;
   errno = 0;
@@ -289,7 +303,7 @@ bool ReadPackFile(const std::string& path, Args* args) {
     size_t second = first == std::string::npos ? std::string::npos
                                                : line.find(':', first + 1);
     if (second != std::string::npos) {
-      if (!ParseNumber("SoC in pack line '" + line + "'", line.substr(second + 1), &soc)) {
+      if (!ParseFraction("SoC in pack line '" + line + "'", line.substr(second + 1), &soc)) {
         return false;
       }
       line.resize(second);
@@ -307,6 +321,7 @@ enum class Operand {
   kTexts,        // Repeatable; every occurrence appended.
   kNumber,       // Any number.
   kPositive,     // A positive, finite number.
+  kFraction,     // A finite number in [0, 1].
   kInt,          // Any int.
   kPositiveInt,  // An int >= 1.
   kSeed,         // An unsigned 64-bit integer.
@@ -328,16 +343,16 @@ struct FlagSpec {
 const FlagSpec kFlags[] = {
     {"--battery", Operand::kTexts, &Args::batteries},
     {"--pack", Operand::kPackFile, &Args::batteries},
-    {"--soc", Operand::kNumber, &Args::soc},
+    {"--soc", Operand::kFraction, &Args::soc},
     {"--load-watts", Operand::kNumber, &Args::load_watts},
     {"--hours", Operand::kPositive, &Args::hours, "hours"},
     {"--trace", Operand::kText, &Args::trace_path},
     {"--supply-watts", Operand::kNumber, &Args::supply_watts},
     {"--tick", Operand::kPositive, &Args::tick_s, "seconds"},
-    {"--discharge-directive", Operand::kNumber, &Args::discharge_directive},
-    {"--charge-directive", Operand::kNumber, &Args::charge_directive},
+    {"--discharge-directive", Operand::kFraction, &Args::discharge_directive},
+    {"--charge-directive", Operand::kFraction, &Args::charge_directive},
     {"--deadline-hours", Operand::kNumber, &Args::deadline_hours},
-    {"--target-soc", Operand::kNumber, &Args::target_soc},
+    {"--target-soc", Operand::kFraction, &Args::target_soc},
     {"--hourly-csv", Operand::kText, &Args::hourly_csv},
     {"--seed", Operand::kSeed, &Args::seed},
     {"--runs", Operand::kPositiveInt, &Args::runs},
@@ -378,6 +393,8 @@ bool ParseOperand(const FlagSpec& spec, const std::string& value, Args* args) {
     case Operand::kPositive:
       return ParseNumber(spec.flag, value, &(args->*std::get<double Args::*>(spec.field)),
                          spec.kind == Operand::kPositive ? spec.unit : nullptr);
+    case Operand::kFraction:
+      return ParseFraction(spec.flag, value, &(args->*std::get<double Args::*>(spec.field)));
     case Operand::kInt:
     case Operand::kPositiveInt:
       return ParseInt(spec.flag, value, spec.kind == Operand::kPositiveInt,
@@ -741,6 +758,13 @@ int CmdFaults(const Args& args) {
   for (const std::string& spec : args.faults) {
     auto event = ParseFaultSpec(spec);
     if (!event.has_value()) {
+      return 2;
+    }
+    if (event->battery < -1 || event->battery >= static_cast<int>(cells->size())) {
+      std::fprintf(stderr,
+                   "sdbsim: fault '%s' targets battery %d of a %zu-battery pack "
+                   "(use 0..%zu, or -1 for every battery)\n",
+                   spec.c_str(), event->battery, cells->size(), cells->size() - 1);
       return 2;
     }
     plan.Add(*event);
