@@ -46,17 +46,18 @@ constexpr int kBisectionSteps = 120;
 
 }  // namespace
 
-std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& problem) {
+void SolveMarginalCostAllocation(const MarginalCostProblem& problem, std::vector<Current>* out) {
   // Numeric-kernel entry: read the typed problem's raw SI magnitudes in
   // place, search for the multiplier on doubles, and re-wrap the solution.
   const size_t n = problem.resistance.size();
   SDB_CHECK(problem.dcir_growth.size() == n);
   SDB_CHECK(problem.current_cap.size() == n);
-  std::vector<Current> result(n, Amps(0.0));
+  std::vector<Current>& result = *out;
+  result.assign(n, Amps(0.0));
   const double total = problem.total_current.value();
   const double horizon = problem.horizon.value();
   if (total <= 0.0 || n == 0) {
-    return result;
+    return;
   }
 
   auto resistance = [&](size_t i) { return problem.resistance[i].value(); };
@@ -73,7 +74,8 @@ std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& prob
     cap_sum += cap(i);
   }
   if (cap_sum <= total) {
-    return problem.current_cap;  // Everything is saturated.
+    result = problem.current_cap;  // Everything is saturated.
+    return;
   }
 
   // Sum of the capped currents at lambda; with `slope` set, also its
@@ -202,6 +204,11 @@ std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& prob
     double y = CurrentAtMultiplier(resistance(i), hg3(i), lambda);
     result[i] = Amps(std::min(y, cap(i)));
   }
+}
+
+std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& problem) {
+  std::vector<Current> result;
+  SolveMarginalCostAllocation(problem, &result);
   return result;
 }
 

@@ -33,8 +33,12 @@ struct MarginalCostProblem {
   Duration horizon = Seconds(600.0);             // H in the future-loss term.
 };
 
-// Returns currents y_i >= 0 with sum == min(total, sum of caps), equalising
-// marginal costs among uncapped batteries. Batteries with zero cap get zero.
+// Writes currents y_i >= 0 with sum == min(total, sum of caps) into `*out`
+// (resized to the problem's size, reusing its capacity), equalising marginal
+// costs among uncapped batteries. Batteries with zero cap get zero.
+void SolveMarginalCostAllocation(const MarginalCostProblem& problem, std::vector<Current>* out);
+
+// The same solve, returning a fresh vector.
 std::vector<Current> SolveMarginalCostAllocation(const MarginalCostProblem& problem);
 
 // Normalises a non-negative vector to sum to 1; all-zero input becomes a

@@ -9,7 +9,7 @@
 #ifndef SRC_CORE_BATTERY_VIEW_H_
 #define SRC_CORE_BATTERY_VIEW_H_
 
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/units.h"
@@ -18,7 +18,6 @@ namespace sdb {
 
 struct BatteryView {
   size_t index = 0;
-  std::string name;
 
   double soc = 0.0;              // Gauge estimate (dimensionless fraction).
   Voltage ocv;                   // From the manufacturer OCV curve at `soc`.
@@ -45,6 +44,10 @@ struct BatteryView {
     return growth.value() > 0.0 ? growth / capacity : ResistancePerCharge(0.0);
   }
 };
+
+// Views are rebuilt and copied on every replan; keeping them plain data lets
+// those copies reuse a buffer without allocating.
+static_assert(std::is_trivially_copyable_v<BatteryView>);
 
 using BatteryViews = std::vector<BatteryView>;
 

@@ -13,14 +13,16 @@ BlendedDischargePolicy::BlendedDischargePolicy(DischargePolicy* a, DischargePoli
 
 void BlendedDischargePolicy::set_weight(double weight_a) { weight_ = Clamp(weight_a, 0.0, 1.0); }
 
-std::vector<double> BlendedDischargePolicy::Allocate(const BatteryViews& views, Power load) {
+const std::vector<double>& BlendedDischargePolicy::Allocate(const BatteryViews& views,
+                                                         Power load) {
   if (weight_ >= 1.0) {
-    return a_->Allocate(views, load);
+    shares_ = a_->Allocate(views, load);
+  } else if (weight_ <= 0.0) {
+    shares_ = b_->Allocate(views, load);
+  } else {
+    BlendShares(a_->Allocate(views, load), b_->Allocate(views, load), weight_, &shares_);
   }
-  if (weight_ <= 0.0) {
-    return b_->Allocate(views, load);
-  }
-  return BlendShares(a_->Allocate(views, load), b_->Allocate(views, load), weight_);
+  return shares_;
 }
 
 BlendedChargePolicy::BlendedChargePolicy(ChargePolicy* a, ChargePolicy* b, double weight_a)
@@ -30,14 +32,16 @@ BlendedChargePolicy::BlendedChargePolicy(ChargePolicy* a, ChargePolicy* b, doubl
 
 void BlendedChargePolicy::set_weight(double weight_a) { weight_ = Clamp(weight_a, 0.0, 1.0); }
 
-std::vector<double> BlendedChargePolicy::Allocate(const BatteryViews& views, Power supply) {
+const std::vector<double>& BlendedChargePolicy::Allocate(const BatteryViews& views,
+                                                         Power supply) {
   if (weight_ >= 1.0) {
-    return a_->Allocate(views, supply);
+    shares_ = a_->Allocate(views, supply);
+  } else if (weight_ <= 0.0) {
+    shares_ = b_->Allocate(views, supply);
+  } else {
+    BlendShares(a_->Allocate(views, supply), b_->Allocate(views, supply), weight_, &shares_);
   }
-  if (weight_ <= 0.0) {
-    return b_->Allocate(views, supply);
-  }
-  return BlendShares(a_->Allocate(views, supply), b_->Allocate(views, supply), weight_);
+  return shares_;
 }
 
 }  // namespace sdb

@@ -17,13 +17,14 @@ class BlendedDischargePolicy final : public DischargePolicy {
   void set_weight(double weight_a);
   double weight() const { return weight_; }
 
-  std::vector<double> Allocate(const BatteryViews& views, Power load) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power load) override;
   std::string_view name() const override { return "Blended-Discharge"; }
 
  private:
   DischargePolicy* a_;
   DischargePolicy* b_;
   double weight_;
+  std::vector<double> shares_;
 };
 
 class BlendedChargePolicy final : public ChargePolicy {
@@ -33,13 +34,14 @@ class BlendedChargePolicy final : public ChargePolicy {
   void set_weight(double weight_a);
   double weight() const { return weight_; }
 
-  std::vector<double> Allocate(const BatteryViews& views, Power supply) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power supply) override;
   std::string_view name() const override { return "Blended-Charge"; }
 
  private:
   ChargePolicy* a_;
   ChargePolicy* b_;
   double weight_;
+  std::vector<double> shares_;
 };
 
 }  // namespace sdb

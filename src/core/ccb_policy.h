@@ -20,22 +20,26 @@ class CcbDischargePolicy final : public DischargePolicy {
  public:
   explicit CcbDischargePolicy(CcbPolicyConfig config = {});
 
-  std::vector<double> Allocate(const BatteryViews& views, Power load) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power load) override;
   std::string_view name() const override { return "CCB-Discharge"; }
 
  private:
   CcbPolicyConfig config_;
+  std::vector<double> shares_;
+  std::vector<bool> eligible_;
 };
 
 class CcbChargePolicy final : public ChargePolicy {
  public:
   explicit CcbChargePolicy(CcbPolicyConfig config = {});
 
-  std::vector<double> Allocate(const BatteryViews& views, Power supply) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power supply) override;
   std::string_view name() const override { return "CCB-Charge"; }
 
  private:
   CcbPolicyConfig config_;
+  std::vector<double> shares_;
+  std::vector<bool> eligible_;
 };
 
 }  // namespace sdb

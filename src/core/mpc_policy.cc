@@ -17,7 +17,7 @@ MpcDischargePolicy::MpcDischargePolicy(const BatteryParams* battery_a,
 
 void MpcDischargePolicy::Advance(Duration dt) { elapsed_ += dt; }
 
-std::vector<double> MpcDischargePolicy::Allocate(const BatteryViews& views, Power load) {
+const std::vector<double>& MpcDischargePolicy::Allocate(const BatteryViews& views, Power load) {
   SDB_CHECK(views.size() == 2);
   if (elapsed_.value() >= next_replan_.value() || !has_plan_) {
     next_replan_ = elapsed_ + config_.replan_period;
@@ -40,7 +40,8 @@ std::vector<double> MpcDischargePolicy::Allocate(const BatteryViews& views, Powe
   if (!has_plan_) {
     return fallback_.Allocate(views, load);
   }
-  return {planned_share_a_, 1.0 - planned_share_a_};
+  shares_.assign({planned_share_a_, 1.0 - planned_share_a_});
+  return shares_;
 }
 
 }  // namespace sdb

@@ -47,7 +47,7 @@ class MpcDischargePolicy final : public DischargePolicy {
   // Number of DP re-plans executed so far (for overhead accounting).
   int replans() const { return replans_; }
 
-  std::vector<double> Allocate(const BatteryViews& views, Power load) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power load) override;
   std::string_view name() const override { return "MPC-Discharge"; }
 
  private:
@@ -62,6 +62,7 @@ class MpcDischargePolicy final : public DischargePolicy {
   bool has_plan_ = false;
   double planned_share_a_ = 0.5;
   int replans_ = 0;
+  std::vector<double> shares_;
 };
 
 }  // namespace sdb

@@ -16,13 +16,16 @@
 
 namespace sdb {
 
+// Both interfaces return their shares by reference into a buffer the policy
+// owns, so a warmed-up replan allocates nothing. The reference stays valid
+// until the same object's next Allocate; copy it to keep it longer.
 class DischargePolicy {
  public:
   virtual ~DischargePolicy() = default;
 
   // Returns per-battery power fractions (non-negative, summing to 1 unless
   // every battery is unavailable, in which case all-zero).
-  virtual std::vector<double> Allocate(const BatteryViews& views, Power load) = 0;
+  virtual const std::vector<double>& Allocate(const BatteryViews& views, Power load) = 0;
 
   virtual std::string_view name() const = 0;
 };
@@ -32,14 +35,15 @@ class ChargePolicy {
   virtual ~ChargePolicy() = default;
 
   // Returns per-battery charge power fractions for an external supply.
-  virtual std::vector<double> Allocate(const BatteryViews& views, Power supply) = 0;
+  virtual const std::vector<double>& Allocate(const BatteryViews& views, Power supply) = 0;
 
   virtual std::string_view name() const = 0;
 };
 
-// Blends two ratio vectors: weight * a + (1 - weight) * b, renormalised.
-std::vector<double> BlendShares(const std::vector<double>& a, const std::vector<double>& b,
-                                double weight);
+// Blends two ratio vectors into `*out`: weight * a + (1 - weight) * b,
+// renormalised. `out` must be neither `a` nor `b`.
+void BlendShares(const std::vector<double>& a, const std::vector<double>& b, double weight,
+                 std::vector<double>* out);
 
 }  // namespace sdb
 

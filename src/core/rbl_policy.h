@@ -6,6 +6,7 @@
 #ifndef SRC_CORE_RBL_POLICY_H_
 #define SRC_CORE_RBL_POLICY_H_
 
+#include "src/core/allocator.h"
 #include "src/core/policy.h"
 
 namespace sdb {
@@ -23,22 +24,28 @@ class RblDischargePolicy final : public DischargePolicy {
  public:
   explicit RblDischargePolicy(RblPolicyConfig config = {});
 
-  std::vector<double> Allocate(const BatteryViews& views, Power load) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power load) override;
   std::string_view name() const override { return "RBL-Discharge"; }
 
  private:
   RblPolicyConfig config_;
+  MarginalCostProblem problem_;
+  std::vector<Current> currents_;
+  std::vector<double> shares_;
 };
 
 class RblChargePolicy final : public ChargePolicy {
  public:
   explicit RblChargePolicy(RblPolicyConfig config = {});
 
-  std::vector<double> Allocate(const BatteryViews& views, Power supply) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power supply) override;
   std::string_view name() const override { return "RBL-Charge"; }
 
  private:
   RblPolicyConfig config_;
+  MarginalCostProblem problem_;
+  std::vector<Current> currents_;
+  std::vector<double> shares_;
 };
 
 }  // namespace sdb

@@ -231,19 +231,29 @@ void SdbRuntime::AdvanceTime(Duration dt) {
 }
 
 BatteryViews SdbRuntime::BuildViews() const {
-  return BuildViewsFrom(micro_->QueryBatteryStatus());
+  BatteryViews views;
+  BuildViewsFrom(micro_->QueryBatteryStatus(), &views);
+  return views;
 }
 
-BatteryViews SdbRuntime::BuildViewsFrom(const std::vector<BatteryStatus>& statuses) const {
-  BatteryViews views;
-  views.reserve(statuses.size());
+Energy SdbRuntime::LastRbl() const {
+  if (rbl_stale_) {
+    last_rbl_ = EstimateRbl(views_, config_.anticipated_load);
+    rbl_stale_ = false;
+  }
+  return last_rbl_;
+}
+
+void SdbRuntime::BuildViewsFrom(const std::vector<BatteryStatus>& statuses,
+                                BatteryViews* views) const {
+  views->clear();
+  views->reserve(statuses.size());
   for (size_t i = 0; i < statuses.size(); ++i) {
     // Manufacturer data (curves, limits) + gauge estimates (SoC, capacity).
     const BatteryParams& params = micro_->pack().cell(i).params();
     const BatteryStatus& status = statuses[i];
     BatteryView v;
     v.index = i;
-    v.name = params.name;
     v.soc = status.soc;
     v.ocv = Volts(params.ocv_vs_soc.Evaluate(v.soc));
     v.dcir = Ohms(params.dcir_vs_soc.Evaluate(v.soc));
@@ -271,14 +281,14 @@ BatteryViews SdbRuntime::BuildViewsFrom(const std::vector<BatteryStatus>& status
     }
     v.is_empty = v.soc <= 1e-3;
     v.is_full = v.soc >= 1.0 - 1e-3;
-    views.push_back(std::move(v));
+    views->push_back(v);
   }
-  return views;
 }
 
-StatusOr<std::vector<BatteryStatus>> SdbRuntime::QueryStatusWithRetry() {
+Status SdbRuntime::QueryStatusWithRetry() {
   if (link_ == nullptr) {
-    return micro_->QueryBatteryStatus();
+    micro_->QueryBatteryStatus(&last_statuses_);
+    return Status::Ok();
   }
   SDB_TRACE_SPAN("core", "runtime.query_status");
   StatusOr<std::vector<BatteryStatus>> result = link_->QueryBatteryStatus();
@@ -295,8 +305,10 @@ StatusOr<std::vector<BatteryStatus>> SdbRuntime::QueryStatusWithRetry() {
   if (!result.ok()) {
     ++resilience_.link_failures;
     GlobalResilienceMetrics().link_failures->Increment();
+    return result.status();
   }
-  return result;
+  last_statuses_ = std::move(*result);
+  return Status::Ok();
 }
 
 Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
@@ -314,28 +326,30 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
   // Query the battery status, retrying over a flaky link; while the link
   // stays down, plan from the last good status rather than crashing the
   // scheduling step. (The error path used to be silently ignored here.)
-  StatusOr<std::vector<BatteryStatus>> statuses = QueryStatusWithRetry();
-  if (statuses.ok()) {
-    last_statuses_ = std::move(*statuses);
+  Status queried = QueryStatusWithRetry();
+  if (queried.ok()) {
     consecutive_stale_ = 0;
   } else if (last_statuses_.empty()) {
     // No status has ever been seen: there is nothing to plan from.
-    return statuses.status();
+    return queried;
   } else {
     ++consecutive_stale_;
     ++resilience_.stale_updates;
     GlobalResilienceMetrics().stale_updates->Increment();
   }
 
-  BatteryViews views = BuildViewsFrom(last_statuses_);
-  if (views.empty()) {
+  // Checked before views_ is rebuilt: a stale RBL memo still needs the
+  // views of the Update that made it.
+  if (last_statuses_.empty()) {
     return FailedPreconditionError("no batteries");
   }
+  BuildViewsFrom(last_statuses_, &views_);
+  rbl_stale_ = true;
+  const BatteryViews& views = views_;
 
   {
     SDB_TRACE_SPAN("core", "runtime.policy_eval");
     last_ccb_ = ComputeCcb(views);
-    last_rbl_ = EstimateRbl(views, config_.anticipated_load);
   }
 
   // Degraded mode: exclude batteries the supervisor latched, ones whose
@@ -400,9 +414,9 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
   degraded_ = now_degraded;
 
   SDB_TRACE_SPAN("core", "runtime.allocate");
-  std::vector<double> d = discharge_override_ != nullptr
-                              ? discharge_override_->Allocate(views, expected_load)
-                              : reserve_.Allocate(views, expected_load);
+  std::vector<double>& d = discharge_shares_;
+  d = discharge_override_ != nullptr ? discharge_override_->Allocate(views, expected_load)
+                                     : reserve_.Allocate(views, expected_load);
   if (masked > 0) {
     d = ApplyDegradedExclusion(std::move(d), excluded_);
   }
@@ -433,7 +447,8 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
     }
   }
 
-  std::vector<double> c = blended_charge_.Allocate(views, expected_supply);
+  std::vector<double>& c = charge_shares_;
+  c = blended_charge_.Allocate(views, expected_supply);
   if (masked > 0) {
     c = ApplyDegradedExclusion(std::move(c), excluded_);
   }
@@ -484,7 +499,7 @@ RuntimeState SdbRuntime::SaveState() const {
     state.hint = *reserve_.hint();
   }
   state.last_ccb = last_ccb_;
-  state.last_rbl = last_rbl_;
+  state.last_rbl = LastRbl();
   state.elapsed = elapsed_;
   state.last_discharge_ratios = last_discharge_ratios_;
   state.last_charge_ratios = last_charge_ratios_;
@@ -520,6 +535,7 @@ Status SdbRuntime::RestoreState(const RuntimeState& state) {
   reserve_.SetHint(state.has_hint ? std::optional<WorkloadHint>(state.hint) : std::nullopt);
   last_ccb_ = state.last_ccb;
   last_rbl_ = state.last_rbl;
+  rbl_stale_ = false;
   elapsed_ = state.elapsed;
   last_discharge_ratios_ = state.last_discharge_ratios;
   last_charge_ratios_ = state.last_charge_ratios;

@@ -155,7 +155,11 @@ class SdbRuntime {
 
   BatteryViews BuildViews() const;
   double LastCcb() const { return last_ccb_; }
-  Energy LastRbl() const { return last_rbl_; }
+  // The RBL metric over the last Update's views. No decision reads it, so
+  // Update only marks it stale and the first read after an Update computes
+  // it (the value is the one Update would have computed). The read fills a
+  // memo, so one runtime is not safe for concurrent readers.
+  Energy LastRbl() const;
   const std::vector<double>& last_discharge_ratios() const { return last_discharge_ratios_; }
   const std::vector<double>& last_charge_ratios() const { return last_charge_ratios_; }
 
@@ -188,10 +192,13 @@ class SdbRuntime {
   [[nodiscard]] StatusOr<RestoreReport> RestoreAndResync(const RuntimeState& state);
 
  private:
-  // QueryBatteryStatus with retry-with-backoff over the attached link (or a
-  // direct, infallible microcontroller call when no link is attached).
-  [[nodiscard]] StatusOr<std::vector<BatteryStatus>> QueryStatusWithRetry();
-  BatteryViews BuildViewsFrom(const std::vector<BatteryStatus>& statuses) const;
+  // Refreshes last_statuses_ from QueryBatteryStatus, with retry-with-backoff
+  // over the attached link (or a direct, infallible microcontroller call
+  // that reuses the buffer when no link is attached). A failed query leaves
+  // last_statuses_ as it was.
+  [[nodiscard]] Status QueryStatusWithRetry();
+  // Writes one view per status into `*views`, reusing its capacity.
+  void BuildViewsFrom(const std::vector<BatteryStatus>& statuses, BatteryViews* views) const;
 
   SdbMicrocontroller* micro_;
   RuntimeConfig config_;
@@ -205,7 +212,15 @@ class SdbRuntime {
   BlendedChargePolicy blended_charge_;
 
   double last_ccb_ = 1.0;
-  Energy last_rbl_ = Joules(0.0);
+  // RBL memo: when stale, LastRbl() recomputes it from views_, which only
+  // Update writes.
+  mutable Energy last_rbl_ = Joules(0.0);
+  mutable bool rbl_stale_ = false;
+  // Update's buffers, reused across replans so a healthy one allocates
+  // nothing once warmed up.
+  BatteryViews views_;  // The last Update's views.
+  std::vector<double> discharge_shares_;
+  std::vector<double> charge_shares_;
   DischargePolicy* discharge_override_ = nullptr;
   std::function<void(Duration)> override_advance_;
   Duration elapsed_ = Seconds(0.0);

@@ -15,6 +15,19 @@ ReserveDischargePolicy::ReserveDischargePolicy(DischargePolicy* fallback,
   SDB_CHECK(config_.bias >= 0.0 && config_.bias <= 1.0);
 }
 
+namespace {
+
+// Sustained power a battery can deliver at its current limit (zero when it
+// is empty or has no voltage).
+double Deliverable(const BatteryView& v) {
+  if (v.is_empty || v.ocv.value() <= 0.0) {
+    return 0.0;
+  }
+  return std::max(0.0, ((v.ocv - v.dcir * v.max_discharge) * v.max_discharge).value());
+}
+
+}  // namespace
+
 int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load) const {
   (void)load;
   if (!hint_.has_value()) {
@@ -22,16 +35,9 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
   }
   double need_w = hint_->expected_power.value();
 
-  std::vector<double> deliverable(views.size(), 0.0);
   double total_deliverable = 0.0;
-  for (size_t i = 0; i < views.size(); ++i) {
-    const BatteryView& v = views[i];
-    if (v.is_empty || v.ocv.value() <= 0.0) {
-      continue;
-    }
-    deliverable[i] =
-        std::max(0.0, ((v.ocv - v.dcir * v.max_discharge) * v.max_discharge).value());
-    total_deliverable += deliverable[i];
+  for (const BatteryView& v : views) {
+    total_deliverable += Deliverable(v);
   }
 
   // First choice: a battery that can sustain the hinted power alone, picked
@@ -40,7 +46,7 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
   int best = -1;
   double best_loss_fraction = 0.0;
   for (size_t i = 0; i < views.size(); ++i) {
-    if (deliverable[i] < need_w) {
+    if (Deliverable(views[i]) < need_w) {
       continue;
     }
     const BatteryView& v = views[i];
@@ -64,10 +70,11 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
   }
   int critical = -1;
   for (size_t i = 0; i < views.size(); ++i) {
-    if (deliverable[i] <= 0.0) {
+    const double deliverable = Deliverable(views[i]);
+    if (deliverable <= 0.0) {
       continue;
     }
-    if (total_deliverable - deliverable[i] < need_w) {
+    if (total_deliverable - deliverable < need_w) {
       // Among critical batteries, protect the scarcest one — the others are
       // big enough to be drawn on in the meantime.
       if (critical < 0 || views[i].remaining_energy < views[critical].remaining_energy) {
@@ -78,16 +85,17 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
   return critical;
 }
 
-std::vector<double> ReserveDischargePolicy::Allocate(const BatteryViews& views, Power load) {
-  std::vector<double> base = fallback_->Allocate(views, load);
+const std::vector<double>& ReserveDischargePolicy::Allocate(const BatteryViews& views,
+                                                            Power load) {
+  base_ = fallback_->Allocate(views, load);
   if (hint_.has_value() && hint_->time_until.value() <= 0.0) {
     // The anticipated workload has arrived: stop reserving and let the
     // fallback route it to the battery we preserved for exactly this.
-    return base;
+    return base_;
   }
   int reserved = ReservedIndex(views, load);
   if (reserved < 0) {
-    return base;
+    return base_;
   }
   const BatteryView& r = views[reserved];
 
@@ -96,23 +104,24 @@ std::vector<double> ReserveDischargePolicy::Allocate(const BatteryViews& views, 
   Energy need = hint_->expected_power * hint_->duration * config_.reserve_margin;
   if (r.remaining_energy >= need * 1.5) {
     // Comfortably above the reserve; no need to distort the split.
-    return base;
+    return base_;
   }
 
   // Re-run the fallback with the reserved battery masked out; if the others
   // cannot carry any load, keep the original split.
-  BatteryViews masked = views;
-  masked[reserved].is_empty = true;
-  masked[reserved].max_discharge = Amps(0.0);
-  std::vector<double> shifted = fallback_->Allocate(masked, load);
+  masked_ = views;
+  masked_[reserved].is_empty = true;
+  masked_[reserved].max_discharge = Amps(0.0);
+  const std::vector<double>& shifted = fallback_->Allocate(masked_, load);
   double shifted_sum = 0.0;
   for (double s : shifted) {
     shifted_sum += s;
   }
   if (shifted_sum <= 0.0) {
-    return base;
+    return base_;
   }
-  return BlendShares(shifted, base, config_.bias);
+  BlendShares(shifted, base_, config_.bias, &shares_);
+  return shares_;
 }
 
 }  // namespace sdb

@@ -44,13 +44,18 @@ class ReserveDischargePolicy final : public DischargePolicy {
   // Index of the battery the policy would currently reserve (-1 if none).
   int ReservedIndex(const BatteryViews& views, Power load) const;
 
-  std::vector<double> Allocate(const BatteryViews& views, Power load) override;
+  const std::vector<double>& Allocate(const BatteryViews& views, Power load) override;
   std::string_view name() const override { return "Reserve-Discharge"; }
 
  private:
   DischargePolicy* fallback_;
   ReservePolicyConfig config_;
   std::optional<WorkloadHint> hint_;
+  // The fallback's unmasked split, copied out of its buffer before the
+  // masked re-run overwrites it.
+  std::vector<double> base_;
+  BatteryViews masked_;
+  std::vector<double> shares_;  // The blended split.
 };
 
 }  // namespace sdb

@@ -1,5 +1,6 @@
 #include "src/hw/command_link.h"
 
+#include <array>
 #include <cstring>
 
 #include "src/hw/fault.h"
@@ -33,6 +34,27 @@ const char* RoundtripSpanName(MessageType type) {
 }
 
 constexpr uint8_t kStartByte = 0xA5;
+
+// CRC-16/CCITT-FALSE one byte at a time: entry b is the bitwise register
+// loop (poly 0x1021) run over b << 8. The CRC is linear, so feeding a byte is
+// one lookup on the register's high byte xor the data byte.
+constexpr std::array<uint16_t, 256> kCrc16Table = [] {
+  std::array<uint16_t, 256> table{};
+  for (size_t b = 0; b < table.size(); ++b) {
+    uint16_t crc = static_cast<uint16_t>(b << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000) != 0 ? static_cast<uint16_t>((crc << 1) ^ 0x1021)
+                                : static_cast<uint16_t>(crc << 1);
+    }
+    table[b] = crc;
+  }
+  return table;
+}();
+constexpr uint16_t kCrc16Init = 0xFFFF;
+
+uint16_t Crc16Update(uint16_t crc, uint8_t byte) {
+  return static_cast<uint16_t>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ byte]);
+}
 // Per-battery record size in a kStatusReport payload.
 constexpr size_t kStatusRecordSize = 24;
 
@@ -95,16 +117,9 @@ bool IsMutatingCommand(MessageType type) {
 }  // namespace
 
 uint16_t Crc16(const uint8_t* data, size_t size) {
-  uint16_t crc = 0xFFFF;
+  uint16_t crc = kCrc16Init;
   for (size_t i = 0; i < size; ++i) {
-    crc ^= static_cast<uint16_t>(data[i]) << 8;
-    for (int bit = 0; bit < 8; ++bit) {
-      if (crc & 0x8000) {
-        crc = static_cast<uint16_t>((crc << 1) ^ 0x1021);
-      } else {
-        crc = static_cast<uint16_t>(crc << 1);
-      }
-    }
+    crc = Crc16Update(crc, data[i]);
   }
   return crc;
 }
@@ -134,14 +149,17 @@ std::optional<Frame> FrameDecoder::Feed(uint8_t byte) {
     case State::kLength:
       length_ = byte;
       payload_.clear();
+      running_crc_ = Crc16Update(kCrc16Init, byte);
       state_ = State::kType;
       return std::nullopt;
     case State::kType:
       type_ = byte;
+      running_crc_ = Crc16Update(running_crc_, byte);
       state_ = length_ > 0 ? State::kPayload : State::kCrcHigh;
       return std::nullopt;
     case State::kPayload:
       payload_.push_back(byte);
+      running_crc_ = Crc16Update(running_crc_, byte);
       if (payload_.size() == length_) {
         state_ = State::kCrcHigh;
       }
@@ -153,11 +171,7 @@ std::optional<Frame> FrameDecoder::Feed(uint8_t byte) {
     case State::kCrcLow: {
       crc_ |= byte;
       state_ = State::kIdle;
-      std::vector<uint8_t> covered;
-      covered.push_back(length_);
-      covered.push_back(type_);
-      covered.insert(covered.end(), payload_.begin(), payload_.end());
-      if (Crc16(covered.data(), covered.size()) != crc_) {
+      if (running_crc_ != crc_) {
         ++crc_errors_;
         return std::nullopt;
       }

@@ -76,7 +76,8 @@ class FrameDecoder {
   uint8_t length_ = 0;
   uint8_t type_ = 0;
   std::vector<uint8_t> payload_;
-  uint16_t crc_ = 0;
+  uint16_t running_crc_ = 0;  // CRC over length, type and payload so far.
+  uint16_t crc_ = 0;          // The CRC the frame carries.
   size_t crc_errors_ = 0;
   size_t frames_decoded_ = 0;
 };

@@ -128,6 +128,13 @@ Status SdbMicrocontroller::ChargeOneFromAnother(size_t from, size_t to, Power po
 
 std::vector<BatteryStatus> SdbMicrocontroller::QueryBatteryStatus() const {
   std::vector<BatteryStatus> statuses;
+  QueryBatteryStatus(&statuses);
+  return statuses;
+}
+
+void SdbMicrocontroller::QueryBatteryStatus(std::vector<BatteryStatus>* out) const {
+  std::vector<BatteryStatus>& statuses = *out;
+  statuses.clear();
   statuses.reserve(pack_.size());
   for (size_t i = 0; i < pack_.size(); ++i) {
     const Cell& cell = pack_.cell(i);
@@ -145,7 +152,6 @@ std::vector<BatteryStatus> SdbMicrocontroller::QueryBatteryStatus() const {
     }
     statuses.push_back(s);
   }
-  return statuses;
 }
 
 Status SdbMicrocontroller::SelectChargeProfile(size_t battery, size_t profile_index) {

@@ -96,6 +96,8 @@ class SdbMicrocontroller {
   Status ChargeOneFromAnother(size_t from, size_t to, Power power, Duration duration);
 
   std::vector<BatteryStatus> QueryBatteryStatus() const;
+  // The same report written into `*out`, reusing its capacity.
+  void QueryBatteryStatus(std::vector<BatteryStatus>* out) const;
 
   // --- Auxiliary commands ---------------------------------------------------
 

@@ -1,7 +1,11 @@
 #include "src/util/thread_pool.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -12,6 +16,23 @@ namespace sdb {
 namespace {
 
 thread_local bool t_in_worker = false;
+
+// SDB_THREADS when it is set to a positive integer, read strictly (no
+// trailing text); nullopt when unset or malformed.
+std::optional<int> ThreadsEnv() {
+  const char* text = std::getenv("SDB_THREADS");
+  if (text == nullptr) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || n <= 0 ||
+      n > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(n);
+}
 
 }  // namespace
 
@@ -62,14 +83,20 @@ ThreadPool::Stats ThreadPool::stats() const {
 }
 
 int ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("SDB_THREADS")) {
-    int n = std::atoi(env);
-    if (n > 0) {
-      return n;
-    }
+  if (std::optional<int> n = ThreadsEnv()) {
+    return *n;
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+Status ThreadPool::ValidateThreadsEnv() {
+  const char* text = std::getenv("SDB_THREADS");
+  if (text == nullptr || ThreadsEnv().has_value()) {
+    return Status::Ok();
+  }
+  return InvalidArgumentError(std::string("SDB_THREADS wants a positive integer, got '") + text +
+                              "'");
 }
 
 bool ThreadPool::InWorkerThread() { return t_in_worker; }

@@ -4,7 +4,9 @@
 // scheduling simple and makes wait time a meaningful telemetry signal.
 //
 // Worker count resolution (ThreadPool::DefaultThreadCount):
-//   1. the SDB_THREADS environment variable, if set and positive,
+//   1. the SDB_THREADS environment variable, if set to a positive integer
+//      (the whole value; anything else is ignored here and reported by
+//      ValidateThreadsEnv),
 //   2. std::thread::hardware_concurrency(),
 //   3. 1 as the last resort.
 //
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/util/status.h"
 #include "src/util/units.h"
 
 namespace sdb {
@@ -59,6 +62,11 @@ class ThreadPool {
 
   // SDB_THREADS override, else hardware concurrency, else 1.
   static int DefaultThreadCount();
+
+  // InvalidArgument when SDB_THREADS is set to anything but a positive
+  // integer, so a command line tool can refuse it instead of silently
+  // running on the hardware count; OK when it is unset or valid.
+  static Status ValidateThreadsEnv();
 
   // True when the calling thread is one of this pool's workers (or any
   // pool's worker) — used to run nested parallel loops inline.

@@ -182,7 +182,8 @@ TEST(BlendTest, MidWeightInterpolates) {
 }
 
 TEST(BlendSharesTest, Renormalises) {
-  auto out = BlendShares({0.8, 0.2}, {0.2, 0.8}, 0.5);
+  std::vector<double> out;
+  BlendShares({0.8, 0.2}, {0.2, 0.8}, 0.5, &out);
   EXPECT_NEAR(out[0], 0.5, 1e-12);
   EXPECT_NEAR(out[1], 0.5, 1e-12);
 }
@@ -238,6 +239,84 @@ TEST(ReserveTest, FallsBackWhenOthersCannotCarry) {
   reserve.SetHint(WorkloadHint{Hours(1.0), Watts(5.0), Hours(1.0)});
   auto d = reserve.Allocate(views, Watts(1.0));
   EXPECT_NEAR(d[0], 1.0, 1e-9);  // Must still serve the load.
+}
+
+// ---------- Policy-owned share buffers ----------
+
+// Allocate(A), Allocate(B), Allocate(A): the third call must reproduce the
+// first bit for bit, whatever the second left in the policy's buffers. B has
+// a different battery count, so every buffer is resized in between.
+template <typename Policy>
+void ExpectAbaReproduces(Policy& policy, Power power) {
+  const BatteryViews a = {MakeView(0, 0.4, 0.03, 0.10), MakeView(1, 0.9, 0.30, 0.30),
+                          MakeView(2, 0.7, 0.08, 0.20)};
+  const BatteryViews b = {MakeView(0, 0.2, 0.20, 0.50), MakeView(1, 0.95, 0.04)};
+  const std::vector<double> first = policy.Allocate(a, power);
+  const std::vector<double> other = policy.Allocate(b, power);
+  const std::vector<double> again = policy.Allocate(a, power);
+  EXPECT_EQ(again, first) << policy.name();
+  EXPECT_EQ(other.size(), b.size()) << policy.name();
+}
+
+TEST(PolicyBufferTest, EveryPolicyReproducesItsSplitAfterOtherViews) {
+  RblDischargePolicy rbl_discharge;
+  CcbDischargePolicy ccb_discharge;
+  RblChargePolicy rbl_charge;
+  CcbChargePolicy ccb_charge;
+  ExpectAbaReproduces(rbl_discharge, Watts(5.0));
+  ExpectAbaReproduces(ccb_discharge, Watts(5.0));
+  ExpectAbaReproduces(rbl_charge, Watts(10.0));
+  ExpectAbaReproduces(ccb_charge, Watts(10.0));
+  for (double weight : {0.0, 0.5, 1.0}) {
+    BlendedDischargePolicy blended_discharge(&rbl_discharge, &ccb_discharge, weight);
+    BlendedChargePolicy blended_charge(&rbl_charge, &ccb_charge, weight);
+    ExpectAbaReproduces(blended_discharge, Watts(5.0));
+    ExpectAbaReproduces(blended_charge, Watts(10.0));
+  }
+  BlendedDischargePolicy blended(&rbl_discharge, &ccb_discharge, 0.5);
+  ReserveDischargePolicy reserve(&blended, ReservePolicyConfig{.bias = 0.6});
+  ExpectAbaReproduces(reserve, Watts(1.0));
+  // Hinted: on A the efficient battery 0 is reserved and the masked path runs.
+  reserve.SetHint(WorkloadHint{Hours(2.0), Watts(5.0), Hours(1.0)});
+  ExpectAbaReproduces(reserve, Watts(1.0));
+}
+
+// The masked path runs the fallback twice, so the unmasked split must be
+// copied out of the fallback's buffer before the second run overwrites it.
+// With bias < 1 the result depends on both runs; it must equal the blend of
+// two independently built policy stacks, one run on each view set.
+TEST(PolicyBufferTest, ReserveMaskedPathMatchesIndependentStacks) {
+  const BatteryViews views = {MakeView(0, 0.4, 0.03, 0.10), MakeView(1, 0.9, 0.30, 0.30),
+                              MakeView(2, 0.7, 0.08, 0.20)};
+  const Power load = Watts(1.0);
+  const ReservePolicyConfig config{.bias = 0.6};
+
+  RblDischargePolicy rbl;
+  CcbDischargePolicy ccb;
+  BlendedDischargePolicy blended(&rbl, &ccb, 0.5);
+  ReserveDischargePolicy reserve(&blended, config);
+  reserve.SetHint(WorkloadHint{Hours(2.0), Watts(5.0), Hours(1.0)});
+  const int reserved = reserve.ReservedIndex(views, load);
+  ASSERT_EQ(reserved, 0);
+  const std::vector<double> got = reserve.Allocate(views, load);
+
+  RblDischargePolicy rbl_masked;
+  CcbDischargePolicy ccb_masked;
+  BlendedDischargePolicy masked_stack(&rbl_masked, &ccb_masked, 0.5);
+  RblDischargePolicy rbl_base;
+  CcbDischargePolicy ccb_base;
+  BlendedDischargePolicy base_stack(&rbl_base, &ccb_base, 0.5);
+  BatteryViews masked = views;
+  masked[reserved].is_empty = true;
+  masked[reserved].max_discharge = Amps(0.0);
+  std::vector<double> want;
+  BlendShares(masked_stack.Allocate(masked, load), base_stack.Allocate(views, load), config.bias,
+              &want);
+
+  EXPECT_EQ(got, want);
+  // The masked run really differs from the unmasked one, so a base that the
+  // second run overwrote would show.
+  EXPECT_NE(masked_stack.Allocate(masked, load), base_stack.Allocate(views, load));
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
+#include "src/core/checkpoint/rig_codec.h"
 #include "src/core/mpc_policy.h"
 #include "src/emu/simulator.h"
 #include "src/hw/command_link.h"
 #include "src/hw/safety.h"
+#include "src/util/rng.h"
 
 namespace sdb {
 namespace {
@@ -173,11 +175,14 @@ TEST(RuntimeOverrideTest, OverridePolicyDrivesTheRatios) {
   // A trivial fixed-split policy.
   class FixedPolicy final : public DischargePolicy {
    public:
-    std::vector<double> Allocate(const BatteryViews& views, Power) override {
+    const std::vector<double>& Allocate(const BatteryViews& views, Power) override {
       (void)views;
-      return std::vector<double>{0.9, 0.1};
+      return shares_;
     }
     std::string_view name() const override { return "fixed"; }
+
+   private:
+    std::vector<double> shares_{0.9, 0.1};
   } fixed;
   runtime.OverrideDischargePolicy(&fixed);
   ASSERT_TRUE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
@@ -383,6 +388,102 @@ TEST(RuntimeResilienceTest, ReintegrationRampsShareOverHorizon) {
   EXPECT_DOUBLE_EQ(runtime.reintegration_ramp()[0], 1.0);
   EXPECT_GT(runtime.last_discharge_ratios()[0], 0.1);
   EXPECT_FALSE(runtime.degraded());
+}
+
+// ---------- The lazily computed RBL metric ----------
+
+// The checkpoint's runtime section, with last_rbl computed eagerly from the
+// views a direct-wired Update would build now (the gauges have not moved
+// since the last Update).
+std::vector<uint8_t> EagerRuntimeSection(const SdbRuntime& runtime, RuntimeState state,
+                                         Power anticipated_load) {
+  state.last_rbl = EstimateRbl(runtime.BuildViews(), anticipated_load);
+  return checkpoint::EncodeRuntimeState(state);
+}
+
+TEST(RuntimeRblMemoTest, SavedStateMatchesEagerRblAfterEveryUpdate) {
+  SdbMicrocontroller micro = MakeMicro(0.9, 0.5);
+  RuntimeConfig config;
+  config.anticipated_load = Watts(3.0);
+  SdbRuntime runtime(&micro, config);
+  Rng rng(23);
+  for (int step = 0; step < 300; ++step) {
+    const Power load = Watts(rng.Uniform(0.0, 12.0));
+    const Power supply = Watts(rng.Bernoulli(0.3) ? rng.Uniform(0.0, 25.0) : 0.0);
+    ASSERT_TRUE(runtime.Update(load, supply).ok());
+    const RuntimeState state = runtime.SaveState();
+    ASSERT_EQ(checkpoint::EncodeRuntimeState(state),
+              EagerRuntimeSection(runtime, state, config.anticipated_load))
+        << "step " << step;
+    // Several ticks per replan, so the views differ from one Update to the
+    // next.
+    for (int tick = 0, ticks = 1 + static_cast<int>(rng.NextBounded(60)); tick < ticks; ++tick) {
+      micro.Step(load, supply, Seconds(1.0));
+    }
+  }
+}
+
+TEST(RuntimeRblMemoTest, RestoredRblSurvivesDriftReconciliationUntilTheNextUpdate) {
+  SdbMicrocontroller micro = MakeMicro(0.8, 0.6);
+  SdbRuntime runtime(&micro);
+  ASSERT_TRUE(runtime.Update(Watts(6.0), Watts(0.0)).ok());
+  RuntimeState checkpointed = runtime.SaveState();
+  // A value no view set produces, so a recomputation would show.
+  const Energy sentinel = Joules(12345.678);
+  checkpointed.last_rbl = sentinel;
+  // The gauges move on after the checkpoint, so the restore reconciles
+  // drift; a further Update leaves the runtime's memo stale over new views.
+  for (int tick = 0; tick < 600; ++tick) {
+    micro.Step(Watts(6.0), Watts(0.0), Seconds(1.0));
+  }
+  ASSERT_TRUE(runtime.Update(Watts(6.0), Watts(0.0)).ok());
+  micro.Step(Watts(6.0), Watts(0.0), Seconds(1.0));
+
+  StatusOr<RestoreReport> report = runtime.RestoreAndResync(checkpointed);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->drift_fields, 0u);
+  EXPECT_EQ(runtime.SaveState().last_statuses.size(), 2u);
+  EXPECT_EQ(runtime.LastRbl().value(), sentinel.value());
+  EXPECT_EQ(runtime.SaveState().last_rbl.value(), sentinel.value());
+
+  ASSERT_TRUE(runtime.Update(Watts(6.0), Watts(0.0)).ok());
+  EXPECT_EQ(runtime.LastRbl().value(),
+            EstimateRbl(runtime.BuildViews(), RuntimeConfig{}.anticipated_load).value());
+}
+
+TEST(RuntimeRblMemoTest, EarlyReturningUpdatesLeaveTheEagerValue) {
+  // A status query that fails with nothing cached returns before any views
+  // exist: the metric keeps its initial value.
+  {
+    SdbMicrocontroller micro = MakeMicro();
+    SdbRuntime runtime(&micro);
+    FlakyLink link(&micro);
+    link.fail_all = true;
+    runtime.AttachLink(&link.client);
+    const Energy initial = runtime.LastRbl();
+    ASSERT_FALSE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
+    EXPECT_EQ(runtime.LastRbl().value(), initial.value());
+  }
+  // A controller held in reset refuses the ratios after the views are built:
+  // the metric is the one over that Update's views, not the previous one's.
+  SdbMicrocontroller micro = MakeMicro(0.9, 0.7);
+  SdbRuntime runtime(&micro);
+  ASSERT_TRUE(runtime.Update(Watts(8.0), Watts(0.0)).ok());
+  const Energy before = EstimateRbl(runtime.BuildViews(), RuntimeConfig{}.anticipated_load);
+  // Read it, so a refused Update that left the memo fresh would show.
+  ASSERT_EQ(runtime.LastRbl().value(), before.value());
+  for (int tick = 0; tick < 900; ++tick) {
+    micro.Step(Watts(8.0), Watts(0.0), Seconds(1.0));
+  }
+  MicroState held = micro.SaveState();
+  held.in_reset = true;
+  held.awaiting_resync = true;
+  ASSERT_TRUE(micro.RestoreState(held).ok());
+  const Status refused = runtime.Update(Watts(8.0), Watts(0.0));
+  ASSERT_EQ(refused.code(), StatusCode::kUnavailable);
+  const Energy eager = EstimateRbl(runtime.BuildViews(), RuntimeConfig{}.anticipated_load);
+  EXPECT_NE(eager.value(), before.value());
+  EXPECT_EQ(runtime.LastRbl().value(), eager.value());
 }
 
 }  // namespace

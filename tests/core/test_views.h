@@ -3,8 +3,6 @@
 #ifndef TESTS_CORE_TEST_VIEWS_H_
 #define TESTS_CORE_TEST_VIEWS_H_
 
-#include <string>
-
 #include "src/core/battery_view.h"
 
 namespace sdb {
@@ -14,7 +12,6 @@ inline BatteryView MakeView(size_t index, double soc, double dcir_ohm, double we
                             double capacity_mah = 3000.0) {
   BatteryView v;
   v.index = index;
-  v.name = "B" + std::to_string(index);
   v.soc = soc;
   v.ocv = Volts(3.4 + 0.8 * soc);
   v.dcir = Ohms(dcir_ohm);

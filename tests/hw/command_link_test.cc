@@ -1,5 +1,8 @@
 #include "src/hw/command_link.h"
 
+#include <algorithm>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
@@ -19,6 +22,164 @@ TEST(Crc16Test, KnownVector) {
   // CRC-16/CCITT-FALSE("123456789") == 0x29B1.
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc16(data, sizeof(data)), 0x29B1);
+}
+
+// The bitwise CRC-16/CCITT-FALSE register loop, frozen as the reference the
+// table-driven Crc16 must reproduce.
+uint16_t BitwiseCrc16(const uint8_t* data, size_t size) {
+  uint16_t crc = 0xFFFF;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= static_cast<uint16_t>(data[i]) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t size) {
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  return bytes;
+}
+
+TEST(Crc16Test, MatchesBitwiseReference) {
+  Rng rng(0xC0FFEE);
+  for (size_t size = 0; size <= 300; ++size) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<uint8_t> bytes = RandomBytes(rng, size);
+      ASSERT_EQ(Crc16(bytes.data(), bytes.size()), BitwiseCrc16(bytes.data(), bytes.size()))
+          << "size " << size << " trial " << trial;
+    }
+  }
+}
+
+// The decoder as it was before it kept a running CRC: it re-covers length,
+// type and payload in one buffer per frame and runs the bitwise CRC over it.
+// Fed the same bytes, FrameDecoder must pop the same frames and counts.
+class ReferenceDecoder {
+ public:
+  void Feed(uint8_t byte, std::vector<Frame>& out) {
+    switch (state_) {
+      case 0:
+        state_ = byte == 0xA5 ? 1 : 0;
+        return;
+      case 1:
+        length_ = byte;
+        payload_.clear();
+        state_ = 2;
+        return;
+      case 2:
+        type_ = byte;
+        state_ = length_ > 0 ? 3 : 4;
+        return;
+      case 3:
+        payload_.push_back(byte);
+        state_ = payload_.size() == length_ ? 4 : 3;
+        return;
+      case 4:
+        crc_ = static_cast<uint16_t>(byte) << 8;
+        state_ = 5;
+        return;
+      default: {
+        crc_ |= byte;
+        state_ = 0;
+        std::vector<uint8_t> covered = {length_, type_};
+        covered.insert(covered.end(), payload_.begin(), payload_.end());
+        if (BitwiseCrc16(covered.data(), covered.size()) != crc_) {
+          ++crc_errors;
+          return;
+        }
+        ++frames_decoded;
+        out.push_back(Frame{static_cast<MessageType>(type_), payload_});
+        return;
+      }
+    }
+  }
+
+  size_t crc_errors = 0;
+  size_t frames_decoded = 0;
+
+ private:
+  int state_ = 0;
+  uint8_t length_ = 0;
+  uint8_t type_ = 0;
+  std::vector<uint8_t> payload_;
+  uint16_t crc_ = 0;
+};
+
+// A seeded stream of frames (0-255 byte payloads) with line noise between
+// some of them and single-byte corruptions in others.
+std::vector<uint8_t> NoisyFrameStream(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> stream;
+  for (int f = 0; f < 60; ++f) {
+    Frame frame{static_cast<MessageType>(rng.NextBounded(256)),
+                RandomBytes(rng, rng.NextBounded(256))};
+    std::vector<uint8_t> bytes = EncodeFrame(frame);
+    if (rng.Bernoulli(0.25)) {
+      bytes[rng.NextBounded(bytes.size())] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+    }
+    if (rng.Bernoulli(0.2)) {
+      std::vector<uint8_t> noise = RandomBytes(rng, rng.NextBounded(8));
+      stream.insert(stream.end(), noise.begin(), noise.end());
+    }
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  return stream;
+}
+
+void ExpectSameFrames(const std::vector<Frame>& got, const std::vector<Frame>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].type, want[i].type) << "frame " << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << "frame " << i;
+  }
+}
+
+TEST(FrameCodecTest, RunningCrcMatchesReferenceDecoder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<uint8_t> stream = NoisyFrameStream(seed);
+    ReferenceDecoder reference;
+    std::vector<Frame> want;
+    for (uint8_t b : stream) {
+      reference.Feed(b, want);
+    }
+    ASSERT_GT(reference.crc_errors, 0u);
+    ASSERT_GT(reference.frames_decoded, 0u);
+
+    // Byte by byte.
+    FrameDecoder bytewise;
+    std::vector<Frame> got;
+    for (uint8_t b : stream) {
+      if (std::optional<Frame> frame = bytewise.Feed(b)) {
+        got.push_back(std::move(*frame));
+      }
+    }
+    ExpectSameFrames(got, want);
+    EXPECT_EQ(bytewise.frames_decoded(), reference.frames_decoded);
+    EXPECT_EQ(bytewise.crc_errors(), reference.crc_errors);
+
+    // In chunks split at seeded points, frames straddling the splits.
+    Rng splits(seed + 1000);
+    FrameDecoder chunked;
+    got.clear();
+    for (size_t at = 0; at < stream.size();) {
+      const size_t len = std::min<size_t>(1 + splits.NextBounded(64), stream.size() - at);
+      chunked.Feed(std::vector<uint8_t>(stream.begin() + at, stream.begin() + at + len), got);
+      at += len;
+    }
+    ExpectSameFrames(got, want);
+    EXPECT_EQ(chunked.frames_decoded(), reference.frames_decoded);
+    EXPECT_EQ(chunked.crc_errors(), reference.crc_errors);
+  }
 }
 
 TEST(FrameCodecTest, EncodeDecodeRoundtrip) {

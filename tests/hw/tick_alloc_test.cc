@@ -1,7 +1,8 @@
-// Pins the tick hot path's allocation contract (DESIGN.md §12, "Tick hot
-// path"): once warmed up, SdbMicrocontroller::Step allocates nothing. This
-// is its own test binary because it replaces the global operator new for
-// the whole process.
+// Pins the hot paths' allocation contracts (DESIGN.md §12, "Tick hot path"
+// and "Update hot path"): once warmed up, SdbMicrocontroller::Step and a
+// healthy, direct-wired SdbRuntime::Update allocate nothing. This is its own
+// test binary because it replaces the global operator new for the whole
+// process.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
+#include "src/core/runtime.h"
 #include "src/hw/microcontroller.h"
 
 namespace {
@@ -85,6 +87,46 @@ TEST(TickAllocationTest, ChargeTickAllocatesNothing) {
   EXPECT_TRUE(tick.charge.any_charging);
   EXPECT_LT(tick.charge.currents[0].value(), 0.0);
   EXPECT_LT(tick.charge.currents[1].value(), 0.0);
+}
+
+SdbMicrocontroller MakeRig(size_t batteries, double soc) {
+  std::vector<Cell> cells;
+  cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), soc);
+  cells.emplace_back(MakeHighEnergyTablet(MilliAmpHours(4000.0)), soc);
+  if (batteries == 3) {
+    cells.emplace_back(MakeType2Standard(MilliAmpHours(3000.0)), soc);
+  }
+  return MakeDefaultMicrocontroller(std::move(cells), 3);
+}
+
+// Allocations made by kSteadyTicks Updates after kWarmupTicks warm-up
+// rounds; the runtime replans every tick, and only the Updates are counted.
+uint64_t SteadyStateUpdateAllocations(size_t batteries, double soc, Power load,
+                                      Power supply) {
+  SdbMicrocontroller micro = MakeRig(batteries, soc);
+  SdbRuntime runtime(&micro);
+  uint64_t allocations = 0;
+  for (int i = 0; i < kWarmupTicks + kSteadyTicks; ++i) {
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const Status status = runtime.Update(load, supply);
+    if (i >= kWarmupTicks) {
+      allocations += g_allocations.load(std::memory_order_relaxed) - before;
+    }
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    micro.Step(load, supply, Seconds(1.0));
+  }
+  EXPECT_FALSE(runtime.degraded());
+  return allocations;
+}
+
+TEST(UpdateAllocationTest, LoadOnlyUpdateAllocatesNothing) {
+  EXPECT_EQ(SteadyStateUpdateAllocations(2, 0.8, Watts(6.0), Watts(0.0)), 0u);
+  EXPECT_EQ(SteadyStateUpdateAllocations(3, 0.8, Watts(6.0), Watts(0.0)), 0u);
+}
+
+TEST(UpdateAllocationTest, LoadAndSupplyUpdateAllocatesNothing) {
+  EXPECT_EQ(SteadyStateUpdateAllocations(2, 0.3, Watts(2.0), Watts(20.0)), 0u);
+  EXPECT_EQ(SteadyStateUpdateAllocations(3, 0.3, Watts(2.0), Watts(20.0)), 0u);
 }
 
 }  // namespace

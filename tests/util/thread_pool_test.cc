@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,6 +60,24 @@ TEST(ThreadPoolTest, DefaultThreadCountHonoursEnvOverride) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
   ASSERT_EQ(unsetenv("SDB_THREADS"), 0);
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+}
+
+TEST(ThreadPoolTest, ThreadsEnvIsParsedStrictly) {
+  ASSERT_EQ(unsetenv("SDB_THREADS"), 0);
+  const int hardware = ThreadPool::DefaultThreadCount();
+  EXPECT_TRUE(ThreadPool::ValidateThreadsEnv().ok());
+  for (const char* bad : {"abc", "3abc", "0", "-2", ""}) {
+    ASSERT_EQ(setenv("SDB_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware) << "'" << bad << "'";
+    Status status = ThreadPool::ValidateThreadsEnv();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "'" << bad << "'";
+    EXPECT_EQ(status.message(),
+              std::string("SDB_THREADS wants a positive integer, got '") + bad + "'");
+  }
+  ASSERT_EQ(setenv("SDB_THREADS", "4", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), 4);
+  EXPECT_TRUE(ThreadPool::ValidateThreadsEnv().ok());
+  ASSERT_EQ(unsetenv("SDB_THREADS"), 0);
 }
 
 TEST(ParallelForTest, ZeroIterationsIsANoOp) {

@@ -54,6 +54,7 @@
 #include "src/obs/trace_export.h"
 #include "src/util/check.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -99,7 +100,10 @@ bool ParseFraction(const std::string& what, const std::string& text, double* out
   return true;
 }
 
-bool ParseInt(const std::string& what, const std::string& text, bool positive, int* out) {
+// ParseInt's `min` for an int of any sign.
+constexpr int kAnyInt = std::numeric_limits<int>::min();
+
+bool ParseInt(const std::string& what, const std::string& text, int min, int* out) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(text.c_str(), &end, 10);
@@ -108,9 +112,9 @@ bool ParseInt(const std::string& what, const std::string& text, bool positive, i
     std::fprintf(stderr, "sdbsim: %s wants an integer, got '%s'\n", what.c_str(), text.c_str());
     return false;
   }
-  if (positive && parsed <= 0) {
-    std::fprintf(stderr, "sdbsim: %s wants a positive integer, got '%s'\n", what.c_str(),
-                 text.c_str());
+  if (parsed < min) {
+    std::fprintf(stderr, "sdbsim: %s wants a %s integer, got '%s'\n", what.c_str(),
+                 min > 0 ? "positive" : "non-negative", text.c_str());
     return false;
   }
   *out = static_cast<int>(parsed);
@@ -213,7 +217,7 @@ std::optional<FaultEvent> ParseFaultSpec(const std::string& spec) {
   double end_h = 0.0;
   if (!ParseNumber(what + "start", parts[1], &start_h) ||
       !ParseNumber(what + "end", parts[2], &end_h) ||
-      (parts.size() > 3 && !ParseInt(what + "battery", parts[3], false, &event.battery)) ||
+      (parts.size() > 3 && !ParseInt(what + "battery", parts[3], kAnyInt, &event.battery)) ||
       (parts.size() > 4 && !ParseNumber(what + "magnitude", parts[4], &event.magnitude)) ||
       (parts.size() > 5 && !ParseNumber(what + "probability", parts[5], &event.probability))) {
     return std::nullopt;
@@ -322,7 +326,7 @@ enum class Operand {
   kNumber,       // Any number.
   kPositive,     // A positive, finite number.
   kFraction,     // A finite number in [0, 1].
-  kInt,          // Any int.
+  kCount,        // An int >= 0.
   kPositiveInt,  // An int >= 1.
   kSeed,         // An unsigned 64-bit integer.
   kSwitch,       // No operand; sets the field to true.
@@ -356,7 +360,7 @@ const FlagSpec kFlags[] = {
     {"--hourly-csv", Operand::kText, &Args::hourly_csv},
     {"--seed", Operand::kSeed, &Args::seed},
     {"--runs", Operand::kPositiveInt, &Args::runs},
-    {"--jobs", Operand::kInt, &Args::jobs},
+    {"--jobs", Operand::kCount, &Args::jobs},  // 0 = auto.
     {"--schedules", Operand::kPositiveInt, &Args::schedules},
     {"--period", Operand::kPositive, &Args::period_min, "minutes"},
     {"--checkpoint-period", Operand::kPositive, &Args::checkpoint_min, "minutes"},
@@ -368,7 +372,7 @@ const FlagSpec kFlags[] = {
     {"--param", Operand::kTexts, &Args::params},
     {"--list", Operand::kSwitch, &Args::list_packs},
     {"--export-trace", Operand::kText, &Args::export_trace},
-    {"--cases", Operand::kInt, &Args::cases},
+    {"--cases", Operand::kPositiveInt, &Args::cases},
     {"--packs", Operand::kText, &Args::packs_csv},
     {"--fault-prob", Operand::kNumber, &Args::fault_prob},
     {"--max-loss-pct", Operand::kNumber, &Args::max_loss_pct},
@@ -395,9 +399,9 @@ bool ParseOperand(const FlagSpec& spec, const std::string& value, Args* args) {
                          spec.kind == Operand::kPositive ? spec.unit : nullptr);
     case Operand::kFraction:
       return ParseFraction(spec.flag, value, &(args->*std::get<double Args::*>(spec.field)));
-    case Operand::kInt:
+    case Operand::kCount:
     case Operand::kPositiveInt:
-      return ParseInt(spec.flag, value, spec.kind == Operand::kPositiveInt,
+      return ParseInt(spec.flag, value, spec.kind == Operand::kPositiveInt ? 1 : 0,
                       &(args->*std::get<int Args::*>(spec.field)));
     case Operand::kSeed:
       return ParseSeed(spec.flag, value, &(args->*std::get<uint64_t Args::*>(spec.field)));
@@ -1410,7 +1414,7 @@ int CmdBlackbox(const Args& args) {
   // is shared with the rig commands; here its value is a bare index).
   std::optional<int> battery_filter;
   if (!args.batteries.empty() &&
-      !ParseInt("blackbox --battery", args.batteries.front(), false, &battery_filter.emplace())) {
+      !ParseInt("blackbox --battery", args.batteries.front(), kAnyInt, &battery_filter.emplace())) {
     return 2;
   }
   obs::PostmortemManifest manifest;
@@ -1592,6 +1596,11 @@ int main(int argc, char** argv) {
   std::optional<Args> args = ParseArgs(argc, argv);
   if (!args.has_value()) {
     PrintUsage();
+    return 2;
+  }
+  // A malformed worker-count override is a usage error, like a bad --jobs.
+  if (sdb::Status threads = sdb::ThreadPool::ValidateThreadsEnv(); !threads.ok()) {
+    std::fprintf(stderr, "sdbsim: %s\n", threads.message().c_str());
     return 2;
   }
   const CommandInfo* command =
