@@ -79,10 +79,15 @@ inline void PrintNote(const std::string& note) { std::cout << "  note: " << note
 
 // Worker count for the sweep harnesses: `--jobs N` flag, else the
 // SDB_THREADS env override, else hardware concurrency (via the pool's
-// resolution rules). A malformed, missing or non-positive N is a usage error
-// (exit 2), never a silently different worker count. Unknown flags are
-// ignored so every bench keeps accepting its other arguments.
+// resolution rules). A malformed, missing or non-positive N, or a malformed
+// SDB_THREADS, is a usage error (exit 2), never a silently different worker
+// count. Unknown flags are ignored so every bench keeps accepting its other
+// arguments.
 inline int ParseJobs(int argc, char** argv) {
+  if (Status threads = ThreadPool::ValidateThreadsEnv(); !threads.ok()) {
+    std::cerr << "bench: " << threads.message() << "\n";
+    std::exit(2);
+  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") != 0) {
       continue;

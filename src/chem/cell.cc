@@ -17,7 +17,8 @@ constexpr double kConductanceWPerK = 0.5;
 }  // namespace
 
 Cell::Cell(BatteryParams params, double initial_soc)
-    : params_(std::make_unique<BatteryParams>(std::move(params))),
+    : params_(std::make_shared<const BatteryParams>(std::move(params))),
+      ocv_curve_(params_, &params_->ocv_vs_soc),
       electrical_(params_.get(), initial_soc),
       aging_(params_.get()),
       thermal_(kHeatCapacityJPerK, kConductanceWPerK, Celsius(25.0)),
@@ -29,6 +30,7 @@ Cell::Cell(BatteryParams params, double initial_soc)
 
 Cell::Cell(Cell&& other) noexcept
     : params_(std::move(other.params_)),
+      ocv_curve_(std::move(other.ocv_curve_)),
       electrical_(other.electrical_),
       aging_(other.aging_),
       thermal_(other.thermal_),
@@ -37,6 +39,7 @@ Cell::Cell(Cell&& other) noexcept
 
 Cell& Cell::operator=(Cell&& other) noexcept {
   params_ = std::move(other.params_);
+  ocv_curve_ = std::move(other.ocv_curve_);
   electrical_ = other.electrical_;
   aging_ = other.aging_;
   thermal_ = other.thermal_;

@@ -86,6 +86,11 @@ class Cell {
   CellStatus GetStatus() const;
 
   const BatteryParams& params() const { return *params_; }
+  // The manufacturer OCV curve, owned jointly with the params: a holder
+  // (a BatteryView) keeps it valid after the cell is gone.
+  const std::shared_ptr<const PiecewiseLinearCurve>& shared_ocv_curve() const {
+    return ocv_curve_;
+  }
   const AgingModel& aging() const { return aging_; }
   const ThermalModel& thermal() const { return thermal_; }
   // Fault injection for tests and thermal-derating experiments.
@@ -111,7 +116,8 @@ class Cell {
   // Re-syncs the electrical model's resistance multiplier from aging.
   void SyncAging();
 
-  std::unique_ptr<BatteryParams> params_;  // Stable address for sub-models.
+  std::shared_ptr<const BatteryParams> params_;  // Stable address for sub-models.
+  std::shared_ptr<const PiecewiseLinearCurve> ocv_curve_;  // Aliases params_.
   TheveninModel electrical_;
   AgingModel aging_;
   ThermalModel thermal_;

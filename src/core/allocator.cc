@@ -244,35 +244,35 @@ std::vector<double> NormalizeShares(std::vector<double> weights,
   return weights;
 }
 
-std::vector<double> ApplyDegradedExclusion(std::vector<double> shares,
-                                           const std::vector<bool>& excluded) {
-  SDB_CHECK(shares.size() == excluded.size());
-  std::vector<bool> eligible(excluded.size());
+void ApplyDegradedExclusion(const std::vector<bool>& excluded, std::vector<double>* shares,
+                            std::vector<bool>* eligible) {
+  SDB_CHECK(shares->size() == excluded.size());
+  eligible->resize(excluded.size());
   for (size_t i = 0; i < excluded.size(); ++i) {
-    eligible[i] = !excluded[i];
+    (*eligible)[i] = !excluded[i];
     // Tolerate policy rounding: tiny negative shares are treated as zero.
-    shares[i] = std::max(0.0, shares[i]);
+    (*shares)[i] = std::max(0.0, (*shares)[i]);
   }
-  return NormalizeShares(std::move(shares), &eligible);
+  *shares = NormalizeShares(std::move(*shares), eligible);
 }
 
-std::vector<double> ApplyReintegrationRamp(std::vector<double> shares,
-                                           const std::vector<double>& ramp) {
-  SDB_CHECK(shares.size() == ramp.size());
+void ApplyReintegrationRamp(const std::vector<double>& ramp, std::vector<double>* shares,
+                            std::vector<bool>* eligible) {
+  SDB_CHECK(shares->size() == ramp.size());
   bool all_full = true;
   for (double r : ramp) {
     SDB_CHECK(r >= 0.0 && r <= 1.0);
     all_full = all_full && r == 1.0;
   }
   if (all_full) {
-    return shares;  // Bit-identical pass-through when nothing is ramping.
+    return;  // Bit-identical pass-through when nothing is ramping.
   }
-  std::vector<bool> eligible(ramp.size());
+  eligible->resize(ramp.size());
   for (size_t i = 0; i < ramp.size(); ++i) {
-    eligible[i] = ramp[i] > 0.0;
-    shares[i] = std::max(0.0, shares[i]) * ramp[i];
+    (*eligible)[i] = ramp[i] > 0.0;
+    (*shares)[i] = std::max(0.0, (*shares)[i]) * ramp[i];
   }
-  return NormalizeShares(std::move(shares), &eligible);
+  *shares = NormalizeShares(std::move(*shares), eligible);
 }
 
 }  // namespace sdb

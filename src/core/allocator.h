@@ -51,15 +51,18 @@ std::vector<double> NormalizeShares(std::vector<double> weights,
 // renormalises the rest to sum to 1. When every surviving share is zero the
 // result is uniform over the non-excluded batteries; when every battery is
 // excluded the result is all zeros (the caller must not program ratios).
-std::vector<double> ApplyDegradedExclusion(std::vector<double> shares,
-                                           const std::vector<bool>& excluded);
+// Rewrites `*shares` in place with `*eligible` as the caller's scratch, so a
+// warmed-up call allocates nothing.
+void ApplyDegradedExclusion(const std::vector<bool>& excluded, std::vector<double>* shares,
+                            std::vector<bool>* eligible);
 
 // Reintegration ramp: scales each share by ramp[i] in [0, 1] and
 // renormalises over batteries with ramp > 0, so a battery returning from a
 // fault re-enters the split gradually instead of at full share. When every
-// ramp is exactly 1 the shares are returned bit-identically unchanged.
-std::vector<double> ApplyReintegrationRamp(std::vector<double> shares,
-                                           const std::vector<double>& ramp);
+// ramp is exactly 1 the shares are left bit-identically unchanged. In place,
+// with `*eligible` as scratch.
+void ApplyReintegrationRamp(const std::vector<double>& ramp, std::vector<double>* shares,
+                            std::vector<bool>* eligible);
 
 }  // namespace sdb
 

@@ -9,22 +9,28 @@
 #ifndef SRC_CORE_BATTERY_VIEW_H_
 #define SRC_CORE_BATTERY_VIEW_H_
 
-#include <type_traits>
+#include <memory>
 #include <vector>
 
 #include "src/util/units.h"
 
 namespace sdb {
 
+class PiecewiseLinearCurve;
+
 struct BatteryView {
   size_t index = 0;
 
   double soc = 0.0;              // Gauge estimate (dimensionless fraction).
   Voltage ocv;                   // From the manufacturer OCV curve at `soc`.
+  // The manufacturer OCV curve `ocv` came from, for RemainingEnergy()
+  // (core/metrics.h). The view shares ownership of the battery's parameters,
+  // so it stays valid after the pack that built it is gone: a view captured
+  // from one rig can be replayed against another.
+  std::shared_ptr<const PiecewiseLinearCurve> ocv_curve;
   Resistance dcir;               // From the manufacturer DCIR curve at `soc`.
   Resistance dcir_slope;         // d(DCIR)/d(SoC) at `soc` (typically < 0).
   Charge capacity;               // Full-charge capacity estimate.
-  Energy remaining_energy;
   double wear_ratio = 0.0;       // lambda_i = cc_i / chi_i.
   double rated_cycles = 0.0;     // chi_i.
   Current max_discharge;         // Datasheet sustained limit.
@@ -45,10 +51,8 @@ struct BatteryView {
   }
 };
 
-// Views are rebuilt and copied on every replan; keeping them plain data lets
-// those copies reuse a buffer without allocating.
-static_assert(std::is_trivially_copyable_v<BatteryView>);
-
+// Views are rebuilt on every replan into a reused buffer. Copying one
+// allocates nothing: the curve is shared, not copied.
 using BatteryViews = std::vector<BatteryView>;
 
 }  // namespace sdb

@@ -5,6 +5,7 @@
 
 #include "src/core/allocator.h"
 #include "src/util/check.h"
+#include "src/util/curve.h"
 
 namespace sdb {
 
@@ -43,12 +44,30 @@ WearSpread ComputeWearSpread(const BatteryViews& views) {
   return spread;
 }
 
+// The trapezoid points rise monotonically, so one segment hint carries from
+// each point to the next (EvaluateHinted is bit-identical to Evaluate).
+Energy RemainingEnergy(const BatteryView& view) {
+  if (view.soc <= 0.0) {
+    return Joules(0.0);
+  }
+  SDB_CHECK(view.ocv_curve != nullptr);
+  constexpr int kPanels = 16;
+  double h = view.soc / kPanels;
+  double sum = 0.0;
+  uint32_t hint = 0;
+  for (int i = 0; i <= kPanels; ++i) {
+    double weight = (i == 0 || i == kPanels) ? 0.5 : 1.0;
+    sum += weight * view.ocv_curve->EvaluateHinted(i * h, &hint);
+  }
+  return Joules(sum * h * view.capacity.value());
+}
+
 Energy EstimateRbl(const BatteryViews& views, Power anticipated_load) {
   Energy total_energy;
   Voltage v_sum;
   int live = 0;
   for (const auto& v : views) {
-    total_energy += v.remaining_energy;
+    total_energy += RemainingEnergy(v);
     if (!v.is_empty) {
       v_sum += v.ocv;
       ++live;

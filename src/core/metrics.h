@@ -27,6 +27,13 @@ struct WearSpread {
 };
 WearSpread ComputeWearSpread(const BatteryViews& views);
 
+// Chemical energy still extractable at the view's SoC: a 16-panel
+// trapezoid over its manufacturer OCV curve (`ocv_curve`, which must be
+// set), times its capacity. No replan decision reads it, so views do not
+// carry it; the RBL metric, the reserve policy (while a workload hint is set)
+// and the OS battery service compute it on demand.
+Energy RemainingEnergy(const BatteryView& view);
+
 // RBL at an anticipated steady load: remaining energy minus the resistive
 // loss it would suffer if the load were split to minimise losses. Returns
 // energy (joules).

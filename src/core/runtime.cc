@@ -82,24 +82,6 @@ uint64_t CountStatusDrift(const BatteryStatus& saved, const BatteryStatus& hw) {
   return drift;
 }
 
-// Chemical energy still extractable at `soc` per the manufacturer OCV curve.
-// The trapezoid points rise monotonically, so one segment hint carries from
-// each point to the next (EvaluateHinted is bit-identical to Evaluate).
-Energy RemainingEnergy(const BatteryParams& params, double soc, Charge capacity) {
-  if (soc <= 0.0) {
-    return Joules(0.0);
-  }
-  constexpr int kPanels = 16;
-  double h = soc / kPanels;
-  double sum = 0.0;
-  uint32_t hint = 0;
-  for (int i = 0; i <= kPanels; ++i) {
-    double weight = (i == 0 || i == kPanels) ? 0.5 : 1.0;
-    sum += weight * params.ocv_vs_soc.EvaluateHinted(i * h, &hint);
-  }
-  return Joules(sum * h * capacity.value());
-}
-
 #if SDB_JOURNAL
 // Renders a ratio vector in its JSONL wire form ("[0.5,0.5]"). Policy-switch
 // detection compares these strings — JsonNumber round-trips doubles exactly,
@@ -159,6 +141,7 @@ SdbRuntime::SdbRuntime(SdbMicrocontroller* micro, RuntimeConfig config)
   last_charge_ratios_.assign(micro_->battery_count(), 0.0);
   prev_excluded_.assign(micro_->battery_count(), false);
   ramp_.assign(micro_->battery_count(), 1.0);
+  view_hints_.resize(micro_->battery_count());
 }
 
 void SdbRuntime::SetChargingDirective(double value) {
@@ -246,20 +229,25 @@ Energy SdbRuntime::LastRbl() const {
 
 void SdbRuntime::BuildViewsFrom(const std::vector<BatteryStatus>& statuses,
                                 BatteryViews* views) const {
-  views->clear();
-  views->reserve(statuses.size());
+  // Every field of every view is written below, so an element reused from
+  // the last call carries nothing over, and reassigning the same shared
+  // curve leaves its reference count alone.
+  views->resize(statuses.size());
   for (size_t i = 0; i < statuses.size(); ++i) {
     // Manufacturer data (curves, limits) + gauge estimates (SoC, capacity).
-    const BatteryParams& params = micro_->pack().cell(i).params();
+    const Cell& cell = micro_->pack().cell(i);
+    const BatteryParams& params = cell.params();
     const BatteryStatus& status = statuses[i];
-    BatteryView v;
+    BatteryView& v = (*views)[i];
     v.index = i;
     v.soc = status.soc;
-    v.ocv = Volts(params.ocv_vs_soc.Evaluate(v.soc));
-    v.dcir = Ohms(params.dcir_vs_soc.Evaluate(v.soc));
-    v.dcir_slope = Ohms(params.dcir_vs_soc.Derivative(v.soc));
+    CurveHints& hints = view_hints_[i];
+    v.ocv = Volts(params.ocv_vs_soc.EvaluateHinted(v.soc, &hints.ocv));
+    v.ocv_curve = cell.shared_ocv_curve();
+    // One hint for both DCIR lookups: the slope reuses the value's segment.
+    v.dcir = Ohms(params.dcir_vs_soc.EvaluateHinted(v.soc, &hints.dcir));
+    v.dcir_slope = Ohms(params.dcir_vs_soc.DerivativeHinted(v.soc, &hints.dcir));
     v.capacity = status.full_capacity;
-    v.remaining_energy = RemainingEnergy(params, v.soc, v.capacity);
     v.rated_cycles = params.rated_cycle_count;
     v.wear_ratio = params.rated_cycle_count > 0.0
                        ? status.cycle_count / params.rated_cycle_count
@@ -281,7 +269,6 @@ void SdbRuntime::BuildViewsFrom(const std::vector<BatteryStatus>& statuses,
     }
     v.is_empty = v.soc <= 1e-3;
     v.is_full = v.soc >= 1.0 - 1e-3;
-    views->push_back(v);
   }
 }
 
@@ -418,10 +405,10 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
   d = discharge_override_ != nullptr ? discharge_override_->Allocate(views, expected_load)
                                      : reserve_.Allocate(views, expected_load);
   if (masked > 0) {
-    d = ApplyDegradedExclusion(std::move(d), excluded_);
+    ApplyDegradedExclusion(excluded_, &d, &eligible_scratch_);
   }
   if (ramping) {
-    d = ApplyReintegrationRamp(std::move(d), ramp_);
+    ApplyReintegrationRamp(ramp_, &d, &eligible_scratch_);
   }
   double d_sum = 0.0;
   for (double x : d) {
@@ -450,10 +437,10 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
   std::vector<double>& c = charge_shares_;
   c = blended_charge_.Allocate(views, expected_supply);
   if (masked > 0) {
-    c = ApplyDegradedExclusion(std::move(c), excluded_);
+    ApplyDegradedExclusion(excluded_, &c, &eligible_scratch_);
   }
   if (ramping) {
-    c = ApplyReintegrationRamp(std::move(c), ramp_);
+    ApplyReintegrationRamp(ramp_, &c, &eligible_scratch_);
   }
   double c_sum = 0.0;
   for (double x : c) {

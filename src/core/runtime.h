@@ -153,6 +153,9 @@ class SdbRuntime {
 
   // --- Introspection ----------------------------------------------------------
 
+  // The views Update plans from, for the current status. It fills the
+  // runtime's curve-hint cache, so, as with LastRbl(), one runtime is not
+  // safe for concurrent readers.
   BatteryViews BuildViews() const;
   double LastCcb() const { return last_ccb_; }
   // The RBL metric over the last Update's views. No decision reads it, so
@@ -200,6 +203,14 @@ class SdbRuntime {
   // Writes one view per status into `*views`, reusing its capacity.
   void BuildViewsFrom(const std::vector<BatteryStatus>& statuses, BatteryViews* views) const;
 
+  // Per-battery segment hints for BuildViewsFrom's curve lookups. A derived
+  // cache (DESIGN.md §12, "Derived caches"): any value is safe, a hit
+  // returns the unhinted lookup's double, and no checkpoint carries it.
+  struct CurveHints {
+    uint32_t ocv = 0;
+    uint32_t dcir = 0;
+  };
+
   SdbMicrocontroller* micro_;
   RuntimeConfig config_;
 
@@ -219,8 +230,11 @@ class SdbRuntime {
   // Update's buffers, reused across replans so a healthy one allocates
   // nothing once warmed up.
   BatteryViews views_;  // The last Update's views.
+  mutable std::vector<CurveHints> view_hints_;
+  friend class RuntimeViewHintsPeer;  // Tests read and scramble the hints.
   std::vector<double> discharge_shares_;
   std::vector<double> charge_shares_;
+  std::vector<bool> eligible_scratch_;  // For the exclusion and ramp passes.
   DischargePolicy* discharge_override_ = nullptr;
   std::function<void(Duration)> override_advance_;
   Duration elapsed_ = Seconds(0.0);

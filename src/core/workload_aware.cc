@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/core/allocator.h"
+#include "src/core/metrics.h"
 #include "src/util/check.h"
 
 namespace sdb {
@@ -69,6 +70,7 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
     return -1;
   }
   int critical = -1;
+  Energy critical_energy;
   for (size_t i = 0; i < views.size(); ++i) {
     const double deliverable = Deliverable(views[i]);
     if (deliverable <= 0.0) {
@@ -77,8 +79,10 @@ int ReserveDischargePolicy::ReservedIndex(const BatteryViews& views, Power load)
     if (total_deliverable - deliverable < need_w) {
       // Among critical batteries, protect the scarcest one — the others are
       // big enough to be drawn on in the meantime.
-      if (critical < 0 || views[i].remaining_energy < views[critical].remaining_energy) {
+      const Energy energy = RemainingEnergy(views[i]);
+      if (critical < 0 || energy < critical_energy) {
         critical = static_cast<int>(i);
+        critical_energy = energy;
       }
     }
   }
@@ -102,7 +106,7 @@ const std::vector<double>& ReserveDischargePolicy::Allocate(const BatteryViews& 
   // Energy the hinted workload will need from the reserved battery,
   // inflated by the margin and by that battery's own loss fraction.
   Energy need = hint_->expected_power * hint_->duration * config_.reserve_margin;
-  if (r.remaining_energy >= need * 1.5) {
+  if (RemainingEnergy(r) >= need * 1.5) {
     // Comfortably above the reserve; no need to distort the split.
     return base_;
   }

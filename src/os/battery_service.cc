@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/metrics.h"
 #include "src/util/check.h"
 #include "src/util/numeric.h"
 
@@ -66,7 +67,7 @@ BatteryReadout BatteryService::Read() const {
     } else {
       Energy remaining;
       for (const BatteryView& v : views) {
-        remaining += v.remaining_energy;
+        remaining += RemainingEnergy(v);
       }
       readout.time_to_empty = remaining / load_ewma_;
     }

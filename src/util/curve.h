@@ -45,12 +45,7 @@ class PiecewiseLinearCurve {
     if (x >= points_.back().first) {
       return points_.back().second;
     }
-    size_t i = *hint;
-    const size_t last_segment = points_.size() - 2;
-    if (i > last_segment || !(points_[i].first <= x && x < points_[i + 1].first)) {
-      i = SegmentIndex(x);
-      *hint = static_cast<uint32_t>(i);
-    }
+    const size_t i = HintedSegmentIndex(x, hint);
     const auto& [x0, y0] = points_[i];
     const auto& [x1, y1] = points_[i + 1];
     double t = (x - x0) / (x1 - x0);
@@ -59,6 +54,21 @@ class PiecewiseLinearCurve {
 
   // Slope dy/dx of the segment containing x (end segments for out-of-range x).
   double Derivative(double x) const;
+
+  // Derivative with a caller-held segment hint, bit-identical to
+  // Derivative() for every x, NaN and infinities included. Sharing one hint
+  // with EvaluateHinted at the same x costs one segment search for both.
+  double DerivativeHinted(double x, uint32_t* hint) const {
+    SDB_DCHECK(points_.size() >= 2);
+    const size_t last_segment = points_.size() - 2;
+    // SegmentIndex clamps to the end segments outside the range.
+    const size_t i = x <= points_.front().first  ? 0
+                     : x >= points_.back().first ? last_segment
+                                                 : HintedSegmentIndex(x, hint);
+    const auto& [x0, y0] = points_[i];
+    const auto& [x1, y1] = points_[i + 1];
+    return (y1 - y0) / (x1 - x0);
+  }
 
   // Inverse lookup: smallest x with f(x) == y. Requires the curve to be
   // monotone (either direction); returns an error otherwise or when y is
@@ -86,6 +96,19 @@ class PiecewiseLinearCurve {
 
   // Index of the segment [i, i+1] containing x (clamped to valid segments).
   size_t SegmentIndex(double x) const;
+
+  // SegmentIndex(x), trying `*hint` first and storing the answer back. The
+  // segment with points_[i].x <= x < points_[i+1].x is unique, so a hint
+  // that passes the check is SegmentIndex's answer; any other hint value,
+  // however stale, falls back to the search.
+  size_t HintedSegmentIndex(double x, uint32_t* hint) const {
+    size_t i = *hint;
+    if (i > points_.size() - 2 || !(points_[i].first <= x && x < points_[i + 1].first)) {
+      i = SegmentIndex(x);
+      *hint = static_cast<uint32_t>(i);
+    }
+    return i;
+  }
 
   std::vector<std::pair<double, double>> points_;
 };

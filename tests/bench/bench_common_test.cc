@@ -1,10 +1,12 @@
-// The bench harnesses' shared flag parsing: `--jobs N` takes a positive
-// integer or the run stops with a usage error (exit 2), never a silently
-// different worker count.
+// The bench harnesses' shared flag parsing: `--jobs N` and SDB_THREADS take
+// a positive integer or the run stops with a usage error (exit 2), never a
+// silently different worker count.
 #include "bench/bench_common.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,29 @@ TEST(ParseJobsTest, MalformedOrNonPositiveCountIsAUsageError) {
         << "--jobs '" << bad << "'";
   }
   EXPECT_EXIT(Jobs({"--jobs"}), testing::ExitedWithCode(2), "--jobs wants a positive integer");
+}
+
+TEST(ParseJobsTest, MalformedThreadsEnvIsAUsageError) {
+  const char* outer = std::getenv("SDB_THREADS");
+  const std::optional<std::string> saved =
+      outer != nullptr ? std::optional<std::string>(outer) : std::nullopt;
+  for (const char* bad : {"abc", "0", "3x", ""}) {
+    setenv("SDB_THREADS", bad, 1);
+    const std::string message =
+        std::string("bench: SDB_THREADS wants a positive integer, got '") + bad + "'";
+    EXPECT_EXIT(Jobs({"--runs", "2"}), testing::ExitedWithCode(2), message)
+        << "SDB_THREADS '" << bad << "'";
+    // An explicit --jobs does not excuse it, as in sdbsim.
+    EXPECT_EXIT(Jobs({"--jobs", "2"}), testing::ExitedWithCode(2), message)
+        << "SDB_THREADS '" << bad << "'";
+  }
+  setenv("SDB_THREADS", "3", 1);
+  EXPECT_EQ(Jobs({"--runs", "2"}), 3);
+  if (saved.has_value()) {
+    setenv("SDB_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("SDB_THREADS");
+  }
 }
 
 }  // namespace

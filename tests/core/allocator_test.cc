@@ -411,9 +411,22 @@ TEST(NormalizeSharesTest, NoEligibleEntriesReturnsZeros) {
 
 // --- Degraded-mode exclusion (runtime fault resilience) ---------------------
 
+// The in-place forms as values, so each case reads as one call.
+std::vector<double> Degraded(std::vector<double> shares, const std::vector<bool>& excluded) {
+  std::vector<bool> eligible;
+  ApplyDegradedExclusion(excluded, &shares, &eligible);
+  return shares;
+}
+
+std::vector<double> Ramped(std::vector<double> shares, const std::vector<double>& ramp) {
+  std::vector<bool> eligible;
+  ApplyReintegrationRamp(ramp, &shares, &eligible);
+  return shares;
+}
+
 TEST(ApplyDegradedExclusionTest, ExcludedBatteriesGetExactlyZero) {
   std::vector<bool> excluded = {false, true, false, true};
-  auto d = ApplyDegradedExclusion({0.4, 0.3, 0.2, 0.1}, excluded);
+  auto d = Degraded({0.4, 0.3, 0.2, 0.1}, excluded);
   EXPECT_DOUBLE_EQ(d[1], 0.0);
   EXPECT_DOUBLE_EQ(d[3], 0.0);
   EXPECT_NEAR(d[0] + d[2], 1.0, 1e-12);
@@ -422,7 +435,7 @@ TEST(ApplyDegradedExclusionTest, ExcludedBatteriesGetExactlyZero) {
 
 TEST(ApplyDegradedExclusionTest, SurvivorsWithZeroWeightGoUniform) {
   std::vector<bool> excluded = {true, false, false};
-  auto d = ApplyDegradedExclusion({1.0, 0.0, 0.0}, excluded);
+  auto d = Degraded({1.0, 0.0, 0.0}, excluded);
   EXPECT_DOUBLE_EQ(d[0], 0.0);
   EXPECT_NEAR(d[1], 0.5, 1e-12);
   EXPECT_NEAR(d[2], 0.5, 1e-12);
@@ -430,7 +443,7 @@ TEST(ApplyDegradedExclusionTest, SurvivorsWithZeroWeightGoUniform) {
 
 TEST(ApplyDegradedExclusionTest, AllExcludedYieldsAllZeros) {
   std::vector<bool> excluded = {true, true};
-  auto d = ApplyDegradedExclusion({0.5, 0.5}, excluded);
+  auto d = Degraded({0.5, 0.5}, excluded);
   EXPECT_DOUBLE_EQ(d[0] + d[1], 0.0);
 }
 
@@ -448,7 +461,7 @@ TEST(ApplyDegradedExclusionTest, PropertySweepSingleExclusion) {
     for (size_t i = 0; i < n; ++i) {
       std::vector<bool> excluded(n, false);
       excluded[i] = true;
-      auto d = ApplyDegradedExclusion(shares, excluded);
+      auto d = Degraded(shares, excluded);
       EXPECT_DOUBLE_EQ(d[i], 0.0);
       double sum = 0.0;
       for (size_t b = 0; b < n; ++b) {
@@ -472,7 +485,7 @@ TEST(ApplyDegradedExclusionTest, PropertySweepMultiExclusion) {
       excluded[i] = rng.Bernoulli(0.4);
       excluded_count += excluded[i] ? 1 : 0;
     }
-    auto d = ApplyDegradedExclusion(shares, excluded);
+    auto d = Degraded(shares, excluded);
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
       EXPECT_GE(d[i], 0.0);
@@ -491,14 +504,14 @@ TEST(ApplyDegradedExclusionTest, PropertySweepMultiExclusion) {
 
 TEST(ReintegrationRampTest, AllFullRampIsBitIdenticalPassThrough) {
   std::vector<double> shares = {0.3141592653589793, 0.6858407346410207};
-  std::vector<double> out = ApplyReintegrationRamp(shares, {1.0, 1.0});
+  std::vector<double> out = Ramped(shares, {1.0, 1.0});
   // Exact equality, not NEAR: the no-op path must not renormalise.
   EXPECT_DOUBLE_EQ(out[0], shares[0]);
   EXPECT_DOUBLE_EQ(out[1], shares[1]);
 }
 
 TEST(ReintegrationRampTest, PartialRampScalesThenRenormalises) {
-  std::vector<double> out = ApplyReintegrationRamp({0.5, 0.5}, {0.2, 1.0});
+  std::vector<double> out = Ramped({0.5, 0.5}, {0.2, 1.0});
   // Scaled to {0.1, 0.5}, renormalised to sum 1.
   EXPECT_NEAR(out[0], 0.1 / 0.6, 1e-12);
   EXPECT_NEAR(out[1], 0.5 / 0.6, 1e-12);
@@ -506,7 +519,7 @@ TEST(ReintegrationRampTest, PartialRampScalesThenRenormalises) {
 }
 
 TEST(ReintegrationRampTest, ZeroRampExcludesTheReturningBattery) {
-  std::vector<double> out = ApplyReintegrationRamp({0.4, 0.6}, {0.0, 1.0});
+  std::vector<double> out = Ramped({0.4, 0.6}, {0.0, 1.0});
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_NEAR(out[1], 1.0, 1e-12);
 }

@@ -37,13 +37,13 @@ TEST(WearSpreadTest, ComputesStatistics) {
 
 TEST(RblTest, ZeroLoadReturnsTotalEnergy) {
   BatteryViews views = {MakeView(0, 0.5, 0.05), MakeView(1, 1.0, 0.05)};
-  double total = (views[0].remaining_energy + views[1].remaining_energy).value();
+  double total = (RemainingEnergy(views[0]) + RemainingEnergy(views[1])).value();
   EXPECT_NEAR(EstimateRbl(views, Watts(0.0)).value(), total, 1e-9);
 }
 
 TEST(RblTest, LoadDiscountsEnergy) {
   BatteryViews views = {MakeView(0, 1.0, 0.08), MakeView(1, 1.0, 0.08)};
-  double total = (views[0].remaining_energy + views[1].remaining_energy).value();
+  double total = (RemainingEnergy(views[0]) + RemainingEnergy(views[1])).value();
   Energy rbl = EstimateRbl(views, Watts(8.0));
   EXPECT_LT(rbl.value(), total);
   EXPECT_GT(rbl.value(), 0.9 * total);

@@ -3,7 +3,10 @@
 #ifndef TESTS_CORE_TEST_VIEWS_H_
 #define TESTS_CORE_TEST_VIEWS_H_
 
+#include <memory>
+
 #include "src/core/battery_view.h"
+#include "src/util/curve.h"
 
 namespace sdb {
 namespace testing_views {
@@ -17,7 +20,10 @@ inline BatteryView MakeView(size_t index, double soc, double dcir_ohm, double we
   v.dcir = Ohms(dcir_ohm);
   v.dcir_slope = Ohms(-dcir_ohm);  // Resistance roughly doubles toward empty.
   v.capacity = MilliAmpHours(capacity_mah);
-  v.remaining_energy = v.capacity * Volts(3.7) * soc;
+  // A flat 3.7 V OCV curve, so RemainingEnergy(v) is capacity x 3.7 V x soc.
+  static const auto kFlatOcv = std::make_shared<const PiecewiseLinearCurve>(
+      PiecewiseLinearCurve::FromTable({{0.0, 3.7}, {1.0, 3.7}}));
+  v.ocv_curve = kFlatOcv;
   v.wear_ratio = wear_ratio;
   v.rated_cycles = 800.0;
   v.max_discharge = Amps(2.0 * capacity_mah / 1000.0);

@@ -1,6 +1,6 @@
 // Pins the hot paths' allocation contracts (DESIGN.md §12, "Tick hot path"
 // and "Update hot path"): once warmed up, SdbMicrocontroller::Step and a
-// healthy, direct-wired SdbRuntime::Update allocate nothing. This is its own
+// direct-wired SdbRuntime::Update allocate nothing, healthy or degraded. This is its own
 // test binary because it replaces the global operator new for the whole
 // process.
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "src/chem/library.h"
 #include "src/core/runtime.h"
 #include "src/hw/microcontroller.h"
+#include "src/hw/safety.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -127,6 +128,73 @@ TEST(UpdateAllocationTest, LoadOnlyUpdateAllocatesNothing) {
 TEST(UpdateAllocationTest, LoadAndSupplyUpdateAllocatesNothing) {
   EXPECT_EQ(SteadyStateUpdateAllocations(2, 0.3, Watts(2.0), Watts(20.0)), 0u);
   EXPECT_EQ(SteadyStateUpdateAllocations(3, 0.3, Watts(2.0), Watts(20.0)), 0u);
+}
+
+// Allocations made by kSteadyTicks Updates after kWarmupTicks warm-up
+// rounds of a runtime whose masks are already set; simulated time advances
+// with the ticks, so a reintegration ramp keeps growing.
+uint64_t DegradedUpdateAllocations(SdbRuntime& runtime, SdbMicrocontroller& micro, Power load,
+                                   Power supply) {
+  uint64_t allocations = 0;
+  for (int i = 0; i < kWarmupTicks + kSteadyTicks; ++i) {
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const Status status = runtime.Update(load, supply);
+    if (i >= kWarmupTicks) {
+      allocations += g_allocations.load(std::memory_order_relaxed) - before;
+    }
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    micro.Step(load, supply, Seconds(1.0));
+    runtime.AdvanceTime(Seconds(1.0));
+  }
+  return allocations;
+}
+
+// Latches an over-temperature fault on battery 0, then cools it so only the
+// supervisor's latch keeps it out.
+void TripBatteryZero(SdbMicrocontroller& micro, const SafetySupervisor& safety) {
+  micro.mutable_pack().cell(0).mutable_thermal().set_temperature(Celsius(70.0));
+  micro.Step(Watts(2.0), Watts(0.0), Seconds(1.0));
+  ASSERT_TRUE(safety.IsFaulted(0));
+  micro.mutable_pack().cell(0).mutable_thermal().set_temperature(Celsius(25.0));
+}
+
+std::vector<SafetyLimits> Limits(const SdbMicrocontroller& micro) {
+  std::vector<SafetyLimits> limits;
+  for (size_t i = 0; i < micro.battery_count(); ++i) {
+    limits.push_back(DeriveLimits(micro.pack().cell(i).params()));
+  }
+  return limits;
+}
+
+TEST(UpdateAllocationTest, SafetyQuarantinedUpdateAllocatesNothing) {
+  SdbMicrocontroller micro = MakeRig(3, 0.3);
+  SafetySupervisor safety(Limits(micro));
+  micro.AttachSafety(&safety);
+  SdbRuntime runtime(&micro);
+  TripBatteryZero(micro, safety);
+  EXPECT_EQ(DegradedUpdateAllocations(runtime, micro, Watts(2.0), Watts(20.0)), 0u);
+  EXPECT_TRUE(runtime.degraded());
+  EXPECT_TRUE(runtime.excluded_batteries()[0]);
+  EXPECT_DOUBLE_EQ(runtime.last_discharge_ratios()[0], 0.0);
+  EXPECT_DOUBLE_EQ(runtime.last_charge_ratios()[0], 0.0);
+}
+
+TEST(UpdateAllocationTest, RampingUpdateAllocatesNothing) {
+  SdbMicrocontroller micro = MakeRig(3, 0.3);
+  SafetySupervisor safety(Limits(micro));
+  micro.AttachSafety(&safety);
+  RuntimeConfig config;
+  config.reintegration_horizon = Seconds(1e5);  // Still ramping after the run.
+  SdbRuntime runtime(&micro, config);
+  TripBatteryZero(micro, safety);
+  ASSERT_TRUE(runtime.Update(Watts(2.0), Watts(20.0)).ok());
+  ASSERT_TRUE(runtime.excluded_batteries()[0]);
+  ASSERT_TRUE(safety.ClearFault(0, micro.pack().cell(0)));
+  EXPECT_EQ(DegradedUpdateAllocations(runtime, micro, Watts(2.0), Watts(20.0)), 0u);
+  EXPECT_FALSE(runtime.excluded_batteries()[0]);
+  EXPECT_GT(runtime.reintegration_ramp()[0], 0.0);
+  EXPECT_LT(runtime.reintegration_ramp()[0], 1.0);
+  EXPECT_GT(runtime.last_discharge_ratios()[0], 0.0);
 }
 
 }  // namespace
