@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -446,9 +447,13 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   // Hermetic journaling: the case plays under its own journal (or none at
   // all), never the caller's — shrink evaluations stay silent under an
   // installed process journal, and a captured journal holds exactly this
-  // case's events regardless of which worker thread ran it.
-  obs::EventJournal local_journal;
-  obs::JournalScope journal_scope(journal != nullptr ? &local_journal : nullptr);
+  // case's events regardless of which worker thread ran it. The journal's
+  // ring is built only when the caller captures it.
+  std::optional<obs::EventJournal> local_journal;
+  if (journal != nullptr) {
+    local_journal.emplace();
+  }
+  obs::JournalScope journal_scope(local_journal.has_value() ? &*local_journal : nullptr);
   ViolationSink sink;
   auto finish = [&] {
     std::vector<FuzzViolation> violations;
@@ -459,7 +464,7 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
       violations.back().detail += " (+" + std::to_string(sink.dropped()) + " dropped)";
     }
     if (journal != nullptr) {
-      *journal = local_journal.Snapshot();
+      *journal = local_journal->Snapshot();
     }
     return violations;
   };
@@ -502,12 +507,16 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   uint64_t unexpected_trips = 0;
 
   size_t flip_cursor = 0;
+  // Trace segment hints for the oracle's own samples: any value is safe
+  // (a miss falls back to the binary search), so they are case locals.
+  size_t load_hint = 0;
+  size_t supply_hint = 0;
   SimConfig sim_config = CappedSimConfig(spec, config);
   sim_config.on_tick = [&](const MicroTick& tick, Duration now) {
     ApplyDueFlips(fuzz_case, rig, now, &flip_cursor);
     const Duration at = now - tick.dt;
-    const Power load_power = spec.load.Sample(at);
-    const Power supply_power = spec.supply.Sample(at);
+    const Power load_power = spec.load.Sample(at, &load_hint);
+    const Power supply_power = spec.supply.Sample(at, &supply_hint);
     supply_to_load_j += std::min(std::max(0.0, load_power.value()),
                                  std::max(0.0, supply_power.value())) *
                         tick.dt.value();

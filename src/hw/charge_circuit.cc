@@ -69,62 +69,55 @@ double SdbChargeCircuit::EfficiencyVsTypical(Current charge_current, Voltage bus
   return std::min(1.0, eff / config_.regulator.typical_efficiency);
 }
 
-const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
-                                         Power supply, Duration dt) {
+void SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares, Power supply,
+                            Duration dt, ChargeTick* out) {
   SDB_TRACE_SPAN("hw", "circuit.charge_step");
   const size_t n = pack.size();
   SDB_CHECK(shares.size() == n);
   SDB_CHECK(n == banks_.size());
-  ChargeTick& tick = tick_;
+  ChargeTick& tick = *out;
   tick.supply_offered = supply;
-  tick.currents.assign(n, Amps(0.0));
-  tick.absorbed = Watts(0.0);
-  tick.supply_used = Watts(0.0);
-  tick.circuit_loss = Joules(0.0);
-  tick.battery_loss = Joules(0.0);
-  tick.any_charging = false;
   if (supply.value() <= 0.0) {
-    return tick;
+    tick.SetIdle(n);
+    return;
   }
 
   // Per-battery ceiling from the selected charge profile, expressed as
   // supply-side power (battery terminal power + regulator loss).
   std::vector<double>& supply_cap = supply_cap_;
-  supply_cap.assign(n, 0.0);
+  supply_cap.resize(n);
+  double sum_shares = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    if (pack.IsOpenCircuit(i)) {
-      // Disconnected: accepts no charge, and spill-over routes around it.
-      continue;
-    }
-    Cell& cell = pack.cell(i);
-    double j = banks_[i].selected().CommandedCurrent(cell).value();
-    if (j > 0.0) {
-      // Apply the setpoint error (Fig. 6d).
-      double err = SetpointErrorEnvelope(Amps(j));
-      j *= 1.0 + rng_.Uniform(-err, err);
-    }
-    double p_batt = ChargePowerAtCurrent(cell, j);
-    double bus = cell.OpenCircuitVoltage().value();
-    supply_cap[i] =
-        p_batt > 0.0 ? regulator_.InputFor(Watts(p_batt), Volts(bus)).value() : 0.0;
-    if (shares[i] <= 0.0) {
+    SDB_CHECK(shares[i] >= -1e-12);
+    sum_shares += std::max(0.0, shares[i]);
+    double cap = 0.0;
+    // A disconnected battery accepts no charge, and spill-over routes around
+    // it.
+    if (!pack.IsOpenCircuit(i)) {
+      Cell& cell = pack.cell(i);
+      double j = banks_[i].selected().CommandedCurrent(cell).value();
+      if (j > 0.0) {
+        // Apply the setpoint error (Fig. 6d).
+        double err = SetpointErrorEnvelope(Amps(j));
+        j *= 1.0 + rng_.Uniform(-err, err);
+      }
+      double p_batt = ChargePowerAtCurrent(cell, j);
       // A zero share is a deliberate exclusion (the safety mask programs 0
       // to quarantine a battery): offer spill-over no headroom here.
-      supply_cap[i] = 0.0;
+      if (p_batt > 0.0 && shares[i] > 0.0) {
+        cap = regulator_.InputFor(Watts(p_batt), cell.OpenCircuitVoltage()).value();
+      }
     }
+    supply_cap[i] = cap;
+  }
+  if (sum_shares <= 0.0) {
+    tick.SetIdle(n);
+    return;
   }
 
   // Proportional split with spill-over to batteries still below their cap.
   std::vector<double>& alloc = alloc_;
-  alloc.assign(n, 0.0);
-  double sum_shares = 0.0;
-  for (double s : shares) {
-    SDB_CHECK(s >= -1e-12);
-    sum_shares += std::max(0.0, s);
-  }
-  if (sum_shares <= 0.0) {
-    return tick;
-  }
+  alloc.resize(n);
   for (size_t i = 0; i < n; ++i) {
     alloc[i] = std::max(0.0, shares[i]) / sum_shares * supply.value();
   }
@@ -152,18 +145,19 @@ const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<do
 
   // Convert supply-side power to battery-terminal power and step the cells.
   // Every cell's bus voltage and fixed-point inversion read only pre-step
-  // state of that same cell, so all terminal powers are computed before any
-  // cell steps, and one StepLanes call then steps the whole pack.
+  // state of that same cell, so every lane request is built before any cell
+  // steps, and one StepLanes call then steps the whole pack.
   std::vector<double>& bus_v = bus_v_;
-  std::vector<double>& p_batt = p_batt_;
-  bus_v.assign(n, 0.0);
-  p_batt.assign(n, 0.0);
+  std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
+  bus_v.resize(n);
+  lane_requests.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (alloc[i] <= 0.0) {
+      bus_v[i] = 0.0;
+      lane_requests[i] = soa::LaneRequest{};
       continue;
     }
-    Cell& cell = pack.cell(i);
-    double bus = cell.OpenCircuitVoltage().value();
+    double bus = pack.cell(i).OpenCircuitVoltage().value();
     // Invert p + loss(p) = alloc by fixed-point iteration (loss is mild).
     double p = alloc[i] * 0.95;
     for (int k = 0; k < 4; ++k) {
@@ -171,32 +165,25 @@ const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<do
       p = std::max(0.0, p);
     }
     bus_v[i] = bus;
-    p_batt[i] = p;
+    lane_requests[i] = soa::LaneRequest{soa::LaneOp::kChargePower, p};
   }
+  pack.StepLanes(lane_requests, dt);
 
   double absorbed_j = 0.0;
   double used_w = 0.0;
   double circuit_loss_j = 0.0;
   double battery_loss_j = 0.0;
-  std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
-  lane_requests.assign(n, soa::LaneRequest{});
+  bool any_charging = false;
+  tick.currents.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    if (alloc[i] > 0.0) {
-      lane_requests[i] = {soa::LaneOp::kChargePower, p_batt[i]};
-    }
-  }
-  pack.StepLanes(lane_requests, dt);
-  for (size_t i = 0; i < n; ++i) {
-    if (alloc[i] <= 0.0) {
-      continue;
-    }
-    StepResult step = ToStepResult(pack.lane_result(i));
-    double absorbed_w = -step.energy_at_terminals.value() / dt.value();
+    const soa::RawStepResult* step = alloc[i] > 0.0 ? &pack.lane_result(i) : nullptr;
+    double absorbed_w = step != nullptr ? -step->energy_terminals_j / dt.value() : 0.0;
     if (absorbed_w <= 0.0) {
+      tick.currents[i] = Amps(0.0);
       continue;
     }
-    tick.currents[i] = step.current;
-    tick.any_charging = true;
+    tick.currents[i] = Amps(step->current_a);
+    any_charging = true;
     absorbed_j += absorbed_w * dt.value();
     double loss_w = regulator_.LossAt(Watts(absorbed_w), Volts(bus_v[i])).value();
     // The fixed-point inversion can overshoot the allocation by a hair;
@@ -204,13 +191,13 @@ const ChargeTick& SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<do
     double used_i = std::min(alloc[i], absorbed_w + loss_w);
     used_w += used_i;
     circuit_loss_j += (used_i - absorbed_w) * dt.value();
-    battery_loss_j += step.energy_lost.value();
+    battery_loss_j += step->energy_lost_j;
   }
   tick.absorbed = Watts(absorbed_j / dt.value());
   tick.supply_used = Watts(used_w);
   tick.circuit_loss = Joules(circuit_loss_j);
   tick.battery_loss = Joules(battery_loss_j);
-  return tick;
+  tick.any_charging = any_charging;
 }
 
 TransferTick SdbChargeCircuit::StepTransfer(BatteryPack& pack, size_t from, size_t to,

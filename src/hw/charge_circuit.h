@@ -57,6 +57,21 @@ struct ChargeTick {
   Energy battery_loss;             // Resistive losses inside batteries.
   std::vector<Current> currents;   // Per battery (negative = charging).
   bool any_charging = false;
+
+  // The tick of a step that charged nothing: sizes `currents` to
+  // `batteries` (allocating only when that changes), writes each entry 0,
+  // and zeroes every other field but `supply_offered`.
+  void SetIdle(size_t batteries) {
+    absorbed = Watts(0.0);
+    supply_used = Watts(0.0);
+    circuit_loss = Joules(0.0);
+    battery_loss = Joules(0.0);
+    currents.resize(batteries);
+    for (size_t i = 0; i < batteries; ++i) {
+      currents[i] = Amps(0.0);
+    }
+    any_charging = false;
+  }
 };
 
 struct TransferTick {
@@ -83,11 +98,18 @@ class SdbChargeCircuit {
 
   // Splits `supply` across the pack in proportion to `shares`, each battery
   // limited by its selected charge profile; surplus spills to batteries that
-  // still accept charge. Returns what actually happened, in a tick owned by
-  // the circuit and valid until the next Step; every field is rewritten on
-  // every call.
+  // still accept charge. Writes what actually happened into every field of
+  // `*tick`, sizing `currents` to the pack only when that size changes.
+  void Step(BatteryPack& pack, const std::vector<double>& shares, Power supply, Duration dt,
+            ChargeTick* tick);
+
+  // The same step into a tick owned by the circuit, valid until the next
+  // Step.
   const ChargeTick& Step(BatteryPack& pack, const std::vector<double>& shares, Power supply,
-                         Duration dt);
+                         Duration dt) {
+    Step(pack, shares, supply, dt, &tick_);
+    return tick_;
+  }
 
   // Moves `power` from battery `from` to battery `to` for one tick
   // (ChargeOneFromAnother's per-tick workhorse).
@@ -113,13 +135,12 @@ class SdbChargeCircuit {
   std::vector<ChargeProfileBank> banks_;
   Rng rng_;
 
-  // Output tick and per-battery scratch, reused so a steady-state Step
-  // allocates nothing.
+  // Output tick of the tick-owning Step, and per-battery scratch reused so
+  // a steady-state Step allocates nothing.
   ChargeTick tick_;
   std::vector<double> supply_cap_;
   std::vector<double> alloc_;
   std::vector<double> bus_v_;
-  std::vector<double> p_batt_;
   std::vector<soa::LaneRequest> lane_requests_;
 };
 

@@ -29,22 +29,18 @@ Power SdbDischargeCircuit::CircuitLossAt(Power load, Voltage bus) const {
   return regulator_.LossAt(load, bus, RegulatorMode::kBuck);
 }
 
-void SdbDischargeCircuit::JournalShortfallEdge(bool shortfall, Power load,
-                                               Power delivered) {
-  if (shortfall && !shortfall_latched_) {
-    SDB_JOURNAL_EVENT(obs::EventKind::kCircuitEvent, -1.0, -1, "discharge-shortfall",
-                      std::string(), delivered.value(), load.value());
-  }
-  shortfall_latched_ = shortfall;
+void SdbDischargeCircuit::JournalShortfall([[maybe_unused]] Power load,
+                                           [[maybe_unused]] Power delivered) {
+  SDB_JOURNAL_EVENT(obs::EventKind::kCircuitEvent, -1.0, -1, "discharge-shortfall",
+                    std::string(), delivered.value(), load.value());
 }
 
-Power SdbDischargeCircuit::AvailablePower(const Cell& cell, Duration dt) const {
-  if (cell.IsEmpty()) {
+Power SdbDischargeCircuit::AvailablePower(const Cell& cell, double e, Duration dt) const {
+  if (e <= 0.0) {
     return Watts(0.0);
   }
-  double e = cell.NoLoadVoltage().value();
   double r = cell.InternalResistance().value();
-  if (e <= 0.0 || r <= 0.0) {
+  if (r <= 0.0) {
     return Watts(0.0);
   }
   // Current ceiling: datasheet limit, SoC drain limit, and max-power point.
@@ -55,38 +51,41 @@ Power SdbDischargeCircuit::AvailablePower(const Cell& cell, Duration dt) const {
   return Watts(std::max(0.0, p * config_.power_margin));
 }
 
-const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares,
-                                               Power load, Duration dt) {
+void SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<double>& shares, Power load,
+                               Duration dt, DischargeTick* out) {
   SDB_TRACE_SPAN("hw", "circuit.discharge_step");
   SDB_CHECK(shares.size() == pack.size());
   const size_t n = pack.size();
-  DischargeTick& tick = tick_;
+  DischargeTick& tick = *out;
   tick.requested = load;
-  tick.currents.assign(n, Amps(0.0));
-  tick.battery_power.assign(n, Watts(0.0));
-  tick.realised_shares.assign(n, 0.0);
-  tick.circuit_loss = Joules(0.0);
-  tick.battery_loss = Joules(0.0);
-  tick.delivered = Watts(0.0);
-  tick.shortfall = false;
   if (load.value() <= 0.0) {
+    tick.SetIdle(n);
     JournalShortfallEdge(false, load, Watts(0.0));
-    return tick;
+    return;
   }
 
-  // Bus voltage estimate: mean no-load voltage of non-empty batteries.
+  // Bus voltage estimate: mean no-load voltage of the live (non-empty,
+  // connected) batteries. A dead battery's entry is 0, so it offers no
+  // power below.
+  std::vector<double>& no_load_v = no_load_v_;
+  no_load_v.resize(n);
   double bus_v = 0.0;
   int live = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!pack.cell(i).IsEmpty() && !pack.IsOpenCircuit(i)) {
-      bus_v += pack.cell(i).NoLoadVoltage().value();
+    const Cell& cell = pack.cell(i);
+    double e = 0.0;
+    if (!cell.IsEmpty() && !pack.IsOpenCircuit(i)) {
+      e = cell.NoLoadVoltage().value();
+      bus_v += e;
       ++live;
     }
+    no_load_v[i] = e;
   }
   if (live == 0) {
+    tick.SetIdle(n);
     tick.shortfall = true;
     JournalShortfallEdge(true, load, Watts(0.0));
-    return tick;
+    return;
   }
   bus_v /= live;
 
@@ -94,9 +93,9 @@ const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vec
   double circuit_loss_w = CircuitLossAt(load, Volts(bus_v)).value();
   double gross = load.value() + circuit_loss_w;
 
-  // Apply the proportion-setting error and renormalise.
+  // Apply the proportion-setting error.
   std::vector<double>& realised = realised_;
-  realised.assign(n, 0.0);
+  realised.resize(n);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     SDB_CHECK(shares[i] >= -1e-12);
@@ -109,31 +108,28 @@ const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vec
     sum += s;
   }
   if (sum <= 0.0) {
+    tick.SetIdle(n);
     tick.shortfall = true;
     JournalShortfallEdge(true, load, Watts(0.0));
-    return tick;
-  }
-  for (auto& s : realised) {
-    s /= sum;
+    return;
   }
 
-  // Allocate per-battery power with spill-over: clamp to availability and
-  // redistribute the excess across unclamped batteries.
+  // Normalise each share, offer the battery's availability and request its
+  // slice of the gross power, in one pass. A dead battery offers nothing,
+  // and a zero-share battery was deliberately excluded (the safety mask
+  // programs 0 to quarantine a battery) — spill-over routes around both.
   std::vector<double>& avail = avail_;
-  avail.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    // A disconnected battery offers nothing, and a zero-share battery was
-    // deliberately excluded (the safety mask programs 0 to quarantine a
-    // battery) — spill-over routes around both.
-    avail[i] = (pack.IsOpenCircuit(i) || realised[i] <= 0.0)
-                   ? 0.0
-                   : AvailablePower(pack.cell(i), dt).value();
-  }
   std::vector<double>& request = request_;
-  request.assign(n, 0.0);
+  avail.resize(n);
+  request.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    request[i] = realised[i] * gross;
+    double share = realised[i] / sum;
+    avail[i] = share <= 0.0 ? 0.0 : AvailablePower(pack.cell(i), no_load_v[i], dt).value();
+    request[i] = share * gross;
   }
+
+  // Spill-over: clamp each request to its availability and redistribute
+  // the excess across unclamped batteries.
   for (int round = 0; round < 8; ++round) {
     double excess = 0.0;
     double headroom = 0.0;
@@ -157,18 +153,22 @@ const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vec
   }
 
   // Step the cells through BatteryPack::StepLanes and account energies.
-  double terminal_j = 0.0;
-  double battery_loss_j = 0.0;
   std::vector<soa::LaneRequest>& lane_requests = lane_requests_;
-  lane_requests.assign(n, soa::LaneRequest{});
+  lane_requests.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    if (request[i] > 0.0) {
-      lane_requests[i] = {soa::LaneOp::kDischargePower, request[i]};
-    }
+    lane_requests[i] = request[i] > 0.0
+                           ? soa::LaneRequest{soa::LaneOp::kDischargePower, request[i]}
+                           : soa::LaneRequest{};
   }
   pack.StepLanes(lane_requests, dt);
+  double terminal_j = 0.0;
+  double battery_loss_j = 0.0;
+  tick.currents.resize(n);
+  tick.battery_power.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (request[i] <= 0.0) {
+      tick.currents[i] = Amps(0.0);
+      tick.battery_power[i] = Watts(0.0);
       continue;
     }
     const soa::RawStepResult& step = pack.lane_result(i);
@@ -178,6 +178,7 @@ const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vec
     battery_loss_j += step.energy_lost_j;
   }
   double total_terminal_w = terminal_j / dt.value();
+  tick.realised_shares.resize(n);
   for (size_t i = 0; i < n; ++i) {
     tick.realised_shares[i] =
         total_terminal_w > 0.0 ? tick.battery_power[i].value() / total_terminal_w : 0.0;
@@ -193,7 +194,6 @@ const DischargeTick& SdbDischargeCircuit::Step(BatteryPack& pack, const std::vec
   tick.battery_loss = Joules(battery_loss_j);
   tick.shortfall = delivered_w < load.value() * 0.995;
   JournalShortfallEdge(tick.shortfall, load, tick.delivered);
-  return tick;
 }
 
 DischargeCircuitState SdbDischargeCircuit::SaveState() const {

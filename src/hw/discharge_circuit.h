@@ -53,6 +53,24 @@ struct DischargeTick {
   std::vector<Power> battery_power; // Terminal power drawn per battery.
   std::vector<double> realised_shares;  // After proportion error + spill.
   bool shortfall = false;
+
+  // The tick of a step that drew nothing: sizes the per-battery vectors to
+  // `batteries` (allocating only when that changes), writes each entry 0,
+  // and zeroes every other field but `requested`.
+  void SetIdle(size_t batteries) {
+    delivered = Watts(0.0);
+    circuit_loss = Joules(0.0);
+    battery_loss = Joules(0.0);
+    currents.resize(batteries);
+    battery_power.resize(batteries);
+    realised_shares.resize(batteries);
+    for (size_t i = 0; i < batteries; ++i) {
+      currents[i] = Amps(0.0);
+      battery_power[i] = Watts(0.0);
+      realised_shares[i] = 0.0;
+    }
+    shortfall = false;
+  }
 };
 
 class SdbDischargeCircuit {
@@ -62,10 +80,18 @@ class SdbDischargeCircuit {
   // Draws `load` from `pack` split by `shares` (non-negative, summing to 1
   // over the pack size) for one tick. Shares of unavailable batteries spill
   // to the rest; if the whole pack cannot meet the load, delivers what it
-  // can and flags a shortfall. The returned tick is owned by the circuit and
-  // valid until the next Step; every field is rewritten on every call.
+  // can and flags a shortfall. Writes every field of `*tick`, sizing its
+  // per-battery vectors to the pack only when that size changes.
+  void Step(BatteryPack& pack, const std::vector<double>& shares, Power load, Duration dt,
+            DischargeTick* tick);
+
+  // The same step into a tick owned by the circuit, valid until the next
+  // Step.
   const DischargeTick& Step(BatteryPack& pack, const std::vector<double>& shares, Power load,
-                            Duration dt);
+                            Duration dt) {
+    Step(pack, shares, load, dt, &tick_);
+    return tick_;
+  }
 
   // The proportion error applied to a given setting (deterministic part of
   // the Fig. 6b envelope); exposed for the microbenchmark.
@@ -80,21 +106,31 @@ class SdbDischargeCircuit {
   void RestoreState(const DischargeCircuitState& state);
 
  private:
-  // Terminal power battery i can deliver in this tick.
-  Power AvailablePower(const Cell& cell, Duration dt) const;
+  // Terminal power `cell` can deliver in this tick at no-load voltage `e`
+  // (0 for an empty or disconnected battery).
+  Power AvailablePower(const Cell& cell, double e, Duration dt) const;
 
   // Journals the shortfall rising edge (kCircuitEvent) and tracks the latch
-  // so a sustained shortfall produces one event, not one per tick.
-  void JournalShortfallEdge(bool shortfall, Power load, Power delivered);
+  // so a sustained shortfall produces one event, not one per tick. Inline:
+  // every Step takes it, and only the rising edge leaves the fast path.
+  void JournalShortfallEdge(bool shortfall, Power load, Power delivered) {
+    if (shortfall && !shortfall_latched_) {
+      JournalShortfall(load, delivered);
+    }
+    shortfall_latched_ = shortfall;
+  }
+  void JournalShortfall(Power load, Power delivered);
 
   DischargeCircuitConfig config_;
   RegulatorModel regulator_;
   Rng rng_;
   bool shortfall_latched_ = false;
 
-  // Output tick and per-battery scratch, reused so a steady-state Step
-  // allocates nothing.
+  // Output tick of the tick-owning Step, and per-battery scratch reused so
+  // a steady-state Step allocates nothing. realised_ holds the shares after
+  // the proportion error, before they are normalised.
   DischargeTick tick_;
+  std::vector<double> no_load_v_;
   std::vector<double> realised_;
   std::vector<double> avail_;
   std::vector<double> request_;

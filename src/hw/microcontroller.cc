@@ -174,12 +174,11 @@ const std::vector<double>& SdbMicrocontroller::MaskFaulted(const std::vector<dou
     return ratios;
   }
   std::vector<double>& masked = masked_ratios_;
-  masked = ratios;
+  masked.resize(ratios.size());
   double sum = 0.0;
   for (size_t i = 0; i < masked.size(); ++i) {
-    if ((safety_active && safety_->IsFaulted(i)) || pack_.IsOpenCircuit(i)) {
-      masked[i] = 0.0;
-    }
+    bool faulted = (safety_active && safety_->IsFaulted(i)) || pack_.IsOpenCircuit(i);
+    masked[i] = faulted ? 0.0 : ratios[i];
     sum += masked[i];
   }
   if (sum > 0.0) {
@@ -248,8 +247,7 @@ const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Dur
     // A collapsed regulator wastes a fraction of everything it converts:
     // the batteries must source load/eff, and the surplus is circuit loss.
     double eff = fault_.has_value() ? fault_->DischargeEfficiencyFactor() : 1.0;
-    tick.discharge =
-        discharge_circuit_.Step(pack_, d_ratios, Watts(load_from_pack / eff), dt);
+    discharge_circuit_.Step(pack_, d_ratios, Watts(load_from_pack / eff), dt, &tick.discharge);
     if (eff < 1.0) {
       double gross_w = tick.discharge.delivered.value();
       double net_w = gross_w * eff;
@@ -260,29 +258,18 @@ const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Dur
     // Power the external source fed straight to the load still counts as
     // delivered to the load.
     tick.discharge.delivered += Watts(supply_to_load);
-    tick.discharge.requested = load;
   } else {
-    tick.discharge.requested = load;
+    tick.discharge.SetIdle(n);
     tick.discharge.delivered = Watts(supply_to_load);
-    tick.discharge.currents.assign(n, Amps(0.0));
-    tick.discharge.battery_power.assign(n, Watts(0.0));
-    tick.discharge.realised_shares.assign(n, 0.0);
-    tick.discharge.circuit_loss = Joules(0.0);
-    tick.discharge.battery_loss = Joules(0.0);
-    tick.discharge.shortfall = false;
   }
+  tick.discharge.requested = load;
 
   if (supply_to_charge > 0.0) {
     const std::vector<double>& c_ratios = MaskFaulted(charge_ratios_);
-    tick.charge = charge_circuit_.Step(pack_, c_ratios, Watts(supply_to_charge), dt);
+    charge_circuit_.Step(pack_, c_ratios, Watts(supply_to_charge), dt, &tick.charge);
   } else {
+    tick.charge.SetIdle(n);
     tick.charge.supply_offered = Watts(0.0);
-    tick.charge.absorbed = Watts(0.0);
-    tick.charge.supply_used = Watts(0.0);
-    tick.charge.circuit_loss = Joules(0.0);
-    tick.charge.battery_loss = Joules(0.0);
-    tick.charge.currents.assign(n, Amps(0.0));
-    tick.charge.any_charging = false;
   }
 
   // An open-circuit end idles an active transfer (without cancelling it):
@@ -309,12 +296,8 @@ const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Dur
     for (size_t i = 0; i < n; ++i) {
       const Cell& cell = pack_.cell(i);
       double i_net = 0.0;
-      if (i < tick.discharge.currents.size()) {
-        i_net += tick.discharge.currents[i].value();
-      }
-      if (i < tick.charge.currents.size()) {
-        i_net += tick.charge.currents[i].value();
-      }
+      i_net += tick.discharge.currents[i].value();
+      i_net += tick.charge.currents[i].value();
       StepResult observed;
       observed.current = Amps(i_net);
       observed.terminal_voltage =
@@ -329,12 +312,8 @@ const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Dur
   for (size_t i = 0; i < n; ++i) {
     Cell& cell = pack_.cell(i);
     double i_net = 0.0;
-    if (i < tick.discharge.currents.size()) {
-      i_net += tick.discharge.currents[i].value();
-    }
-    if (i < tick.charge.currents.size()) {
-      i_net += tick.charge.currents[i].value();
-    }
+    i_net += tick.discharge.currents[i].value();
+    i_net += tick.charge.currents[i].value();
     // Transfer-leg currents are already reflected in cell state; the gauges
     // re-anchor at full/empty below, like production coulomb counters.
     Voltage v = cell.NoLoadVoltage();

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
+#include "src/util/rng.h"
+#include "tests/hw/tick_compare.h"
 
 namespace sdb {
 namespace {
@@ -92,6 +94,107 @@ TEST(ChargeCircuitTest, ReusedTickClearsAfterCharging) {
   // All-zero shares: no battery is offered any of the supply.
   ExpectIdleTick(f.circuit->Step(f.pack, {0.0, 0.0}, Watts(20.0), Seconds(1.0)), Watts(20.0),
                  f.pack.size());
+}
+
+// The in-place Step writes every entry of a caller-owned tick exactly once.
+// Each early return and uncharged battery below starts from a tick whose
+// entries a real step filled with nonzero values, so an entry a path forgot
+// to write shows up as a stale nonzero.
+ChargeTick FilledTick(size_t batteries) {
+  BatteryParams params = MakeFastChargeTablet(MilliAmpHours(4000.0));
+  BatteryPack pack;
+  std::vector<const BatteryParams*> bank_params;
+  for (size_t i = 0; i < batteries; ++i) {
+    pack.AddCell(Cell(params, 0.2));
+  }
+  for (size_t i = 0; i < batteries; ++i) {
+    bank_params.push_back(&pack.cell(i).params());
+  }
+  SdbChargeCircuit circuit(ChargeCircuitConfig{}, bank_params, 11);
+  ChargeTick tick;
+  circuit.Step(pack, std::vector<double>(batteries, 1.0 / static_cast<double>(batteries)),
+               Watts(20.0), Seconds(1.0), &tick);
+  EXPECT_TRUE(tick.any_charging);
+  EXPECT_GT(tick.absorbed.value(), 0.0);
+  EXPECT_GT(tick.supply_used.value(), 0.0);
+  EXPECT_GT(tick.circuit_loss.value(), 0.0);
+  EXPECT_GT(tick.battery_loss.value(), 0.0);
+  for (size_t i = 0; i < batteries; ++i) {
+    EXPECT_LT(tick.currents[i].value(), 0.0);
+  }
+  return tick;
+}
+
+TEST(ChargeTickRewriteTest, EarlyReturnsZeroEveryStaleEntry) {
+  struct Case {
+    const char* name;
+    std::vector<double> shares;
+    double supply_w;
+  };
+  const Case cases[] = {
+      {"zero supply", {0.5, 0.5}, 0.0},
+      {"negative supply", {0.5, 0.5}, -4.0},
+      {"all-zero shares", {0.0, 0.0}, 20.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f;
+    for (size_t stale : {f.pack.size() + 2, f.pack.size()}) {
+      ChargeTick tick = FilledTick(stale);
+      f.circuit->Step(f.pack, c.shares, Watts(c.supply_w), Seconds(1.0), &tick);
+      ExpectIdleTick(tick, Watts(c.supply_w), f.pack.size());
+    }
+  }
+}
+
+TEST(ChargeTickRewriteTest, UnchargedBatteryEntriesAreZero) {
+  // A zero share, a disconnected battery and a full battery each charge
+  // nothing; the other battery charges, so the step takes its full path.
+  struct Case {
+    const char* name;
+    double soc1;
+    bool open1;
+    std::vector<double> shares;
+  };
+  const Case cases[] = {
+      {"zero share", 0.2, false, {1.0, 0.0}},
+      {"open-circuit", 0.2, true, {0.5, 0.5}},
+      {"full", 1.0, false, {0.5, 0.5}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f(0.2, c.soc1);
+    f.pack.SetOpenCircuit(1, c.open1);
+    ChargeTick tick = FilledTick(f.pack.size());
+    f.circuit->Step(f.pack, c.shares, Watts(20.0), Seconds(1.0), &tick);
+    ASSERT_EQ(tick.currents.size(), f.pack.size());
+    EXPECT_TRUE(tick.any_charging);
+    EXPECT_LT(tick.currents[0].value(), 0.0);
+    ExpectPositiveZero(tick.currents[1], "currents[1]");
+  }
+}
+
+TEST(ChargeTickRewriteTest, InPlaceStepMatchesTheOwnedTickBitForBit) {
+  // Two circuits on two identical packs, one writing a caller-owned tick
+  // and one its own, over a seeded mix of every path.
+  Fixture a(0.3, 0.7);
+  Fixture b(0.3, 0.7);
+  ChargeTick mine = FilledTick(5);
+  Rng rng(29);
+  for (int k = 0; k < 400; ++k) {
+    double s = rng.Uniform(0.0, 1.0);
+    std::vector<double> shares = {s, 1.0 - s};
+    if (k % 37 == 0) {
+      shares = {0.0, 0.0};
+    } else if (k % 11 == 0) {
+      shares = {1.0, 0.0};
+    }
+    double supply = k % 13 == 0 ? 0.0 : rng.Uniform(0.5, 30.0);
+    a.circuit->Step(a.pack, shares, Watts(supply), Seconds(5.0), &mine);
+    const ChargeTick& owned = b.circuit->Step(b.pack, shares, Watts(supply), Seconds(5.0));
+    SCOPED_TRACE(k);
+    ExpectSameTick(mine, owned);
+  }
 }
 
 TEST(ChargeCircuitTest, SetpointErrorEnvelopeMatchesFig6d) {

@@ -6,6 +6,8 @@
 
 #include "src/chem/library.h"
 #include "src/hw/safety.h"
+#include "src/util/rng.h"
+#include "tests/hw/tick_compare.h"
 
 namespace sdb {
 namespace {
@@ -206,6 +208,125 @@ TEST(MicroTickReuseTest, TransferClearsOnceCancelled) {
   EXPECT_EQ(tick.transfer.battery_loss, Joules(0.0));
   EXPECT_FALSE(tick.transfer.source_exhausted);
   EXPECT_FALSE(tick.transfer.destination_full);
+}
+
+// The idle branches write every per-battery entry of the reused tick: each
+// case first fills the entries with a real step, then checks that an idle
+// tick leaves each one exactly 0 at the pack's size.
+void ExpectNoPackCharge(const MicroTick& tick, size_t n) {
+  EXPECT_FALSE(tick.charge.any_charging);
+  EXPECT_EQ(tick.charge.absorbed, Watts(0.0));
+  EXPECT_EQ(tick.charge.supply_used, Watts(0.0));
+  EXPECT_EQ(tick.charge.circuit_loss, Joules(0.0));
+  EXPECT_EQ(tick.charge.battery_loss, Joules(0.0));
+  ASSERT_EQ(tick.charge.currents.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(i);
+    ExpectPositiveZero(tick.charge.currents[i], "charge.currents");
+  }
+}
+
+TEST(MicroTickReuseTest, IdleDischargeBranchesZeroEveryStaleEntry) {
+  struct Case {
+    const char* name;
+    double load_w;
+    double supply_w;
+  };
+  const Case cases[] = {
+      {"no load, no supply", 0.0, 0.0},
+      {"supply equals load", 4.0, 4.0},
+      {"supply exceeds load", 2.0, 12.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SdbMicrocontroller micro = MakeMicro(0.6, 0.6);
+    const size_t n = micro.battery_count();
+    const MicroTick& real = micro.Step(Watts(6.0), Watts(0.0), Seconds(1.0));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_GT(real.discharge.currents[i].value(), 0.0);
+      ASSERT_GT(real.discharge.battery_power[i].value(), 0.0);
+      ASSERT_GT(real.discharge.realised_shares[i], 0.0);
+    }
+    const MicroTick& tick = micro.Step(Watts(c.load_w), Watts(c.supply_w), Seconds(1.0));
+    ExpectNoPackDischarge(tick, n);
+    EXPECT_EQ(tick.discharge.requested, Watts(c.load_w));
+    EXPECT_EQ(tick.discharge.delivered, Watts(c.load_w));
+  }
+}
+
+TEST(MicroTickReuseTest, IdleChargeBranchesZeroEveryStaleEntry) {
+  struct Case {
+    const char* name;
+    double load_w;
+    double supply_w;
+  };
+  const Case cases[] = {
+      {"no load, no supply", 0.0, 0.0},
+      {"pack discharge", 5.0, 0.0},
+      {"supply equals load", 4.0, 4.0},
+      {"supply short of load", 6.0, 2.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SdbMicrocontroller micro = MakeMicro(0.5, 0.5);
+    const size_t n = micro.battery_count();
+    const MicroTick& real = micro.Step(Watts(0.0), Watts(30.0), Seconds(1.0));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_LT(real.charge.currents[i].value(), 0.0);
+    }
+    const MicroTick& tick = micro.Step(Watts(c.load_w), Watts(c.supply_w), Seconds(1.0));
+    ExpectNoPackCharge(tick, n);
+    EXPECT_EQ(tick.charge.supply_offered, Watts(0.0));
+  }
+}
+
+// Differential: the microcontroller's tick equals what its circuits' own
+// Step returns for the same inputs, bit for bit. A twin pack and twin
+// circuits restored from the microcontroller's saved state replay each tick
+// (discharge-only, charge-only and idle ticks, with the ratios changed
+// along the way), so both sides step identical cells with identical noise.
+TEST(MicroTickReuseTest, MicroTickMatchesCircuitStepsBitForBit) {
+  SdbMicrocontroller micro = MakeMicro(0.7, 0.4);
+  BatteryPack twin;
+  twin.AddCell(Cell(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.7));
+  twin.AddCell(Cell(MakeHighEnergyTablet(MilliAmpHours(4000.0)), 0.4));
+  MicroState saved = micro.SaveState();
+  SdbDischargeCircuit discharge(DischargeCircuitConfig{}, 0);
+  discharge.RestoreState(saved.discharge_circuit);
+  std::vector<const BatteryParams*> params = {&twin.cell(0).params(), &twin.cell(1).params()};
+  SdbChargeCircuit charge(ChargeCircuitConfig{}, params, 0);
+  ASSERT_TRUE(charge.RestoreState(saved.charge_circuit).ok());
+
+  Rng rng(31);
+  for (int k = 0; k < 600; ++k) {
+    SCOPED_TRACE(k);
+    if (k % 50 == 0) {
+      double s = rng.Uniform(0.05, 0.95);
+      ASSERT_TRUE(micro.SetDischargeRatios({s, 1.0 - s}).ok());
+      ASSERT_TRUE(micro.SetChargeRatios({1.0 - s, s}).ok());
+    }
+    double load = 0.0;
+    double supply = 0.0;
+    switch (k % 4) {
+      case 0:
+      case 1:
+        load = rng.Uniform(0.5, 10.0);
+        break;
+      case 2:
+        supply = rng.Uniform(0.5, 25.0);
+        break;
+      default:
+        break;
+    }
+    const MicroTick& tick = micro.Step(Watts(load), Watts(supply), Seconds(2.0));
+    ExpectSameTick(tick.discharge,
+                   discharge.Step(twin, micro.discharge_ratios(), Watts(load), Seconds(2.0)));
+    ExpectSameTick(tick.charge,
+                   charge.Step(twin, micro.charge_ratios(), Watts(supply), Seconds(2.0)));
+  }
+  for (size_t i = 0; i < twin.size(); ++i) {
+    EXPECT_EQ(micro.pack().cell(i).soc(), twin.cell(i).soc());
+  }
 }
 
 TEST(MicroSafetyTest, FaultedBatteryDropsOutOfTheSplit) {
