@@ -27,23 +27,6 @@ double ComputeCcb(const BatteryViews& views) {
   return max_wear / min_wear;
 }
 
-WearSpread ComputeWearSpread(const BatteryViews& views) {
-  WearSpread spread;
-  if (views.empty()) {
-    return spread;
-  }
-  spread.min_wear = views[0].wear_ratio;
-  spread.max_wear = views[0].wear_ratio;
-  double sum = 0.0;
-  for (const auto& v : views) {
-    spread.min_wear = std::min(spread.min_wear, v.wear_ratio);
-    spread.max_wear = std::max(spread.max_wear, v.wear_ratio);
-    sum += v.wear_ratio;
-  }
-  spread.mean_wear = sum / static_cast<double>(views.size());
-  return spread;
-}
-
 // The trapezoid points rise monotonically, so one segment hint carries from
 // each point to the next (EvaluateHinted is bit-identical to Evaluate).
 Energy RemainingEnergy(const BatteryView& view) {

@@ -19,14 +19,6 @@ namespace sdb {
 // CCB >= 1; returns 1 for empty input or when every battery is unworn.
 double ComputeCcb(const BatteryViews& views);
 
-// Wear statistics backing CCB.
-struct WearSpread {
-  double min_wear = 0.0;
-  double max_wear = 0.0;
-  double mean_wear = 0.0;
-};
-WearSpread ComputeWearSpread(const BatteryViews& views);
-
 // Chemical energy still extractable at the view's SoC: a 16-panel
 // trapezoid over its manufacturer OCV curve (`ocv_curve`, which must be
 // set), times its capacity. No replan decision reads it, so views do not

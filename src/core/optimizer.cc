@@ -235,171 +235,4 @@ PlanResult EvaluateFixedShare(const PlannerBattery& battery_a, const PlannerBatt
   return result;
 }
 
-
-namespace {
-
-// Trilinear interpolation over a G x G x G grid at continuous (a, b, c).
-double InterpolateGrid3(const std::vector<double>& grid, int g, double a, double b, double c) {
-  double fa = Clamp(a, 0.0, 1.0) * (g - 1);
-  double fb = Clamp(b, 0.0, 1.0) * (g - 1);
-  double fc = Clamp(c, 0.0, 1.0) * (g - 1);
-  int ia = std::min(static_cast<int>(fa), g - 2);
-  int ib = std::min(static_cast<int>(fb), g - 2);
-  int ic = std::min(static_cast<int>(fc), g - 2);
-  double ta = fa - ia;
-  double tb = fb - ib;
-  double tc = fc - ic;
-  auto at = [&](int x, int y, int z) { return grid[(x * g + y) * g + z]; };
-  auto lerp2 = [&](int x) {
-    double v00 = at(x, ib, ic) * (1.0 - tc) + at(x, ib, ic + 1) * tc;
-    double v01 = at(x, ib + 1, ic) * (1.0 - tc) + at(x, ib + 1, ic + 1) * tc;
-    return v00 * (1.0 - tb) + v01 * tb;
-  };
-  return lerp2(ia) * (1.0 - ta) + lerp2(ia + 1) * ta;
-}
-
-struct SimplexAction {
-  double share_a;
-  double share_b;  // share_c == 1 - a - b.
-};
-
-std::vector<SimplexAction> MakeSimplexActions(int share_grid) {
-  std::vector<SimplexAction> actions;
-  for (int i = 0; i < share_grid; ++i) {
-    for (int j = 0; i + j < share_grid; ++j) {
-      double a = static_cast<double>(i) / (share_grid - 1);
-      double b = static_cast<double>(j) / (share_grid - 1);
-      actions.push_back(SimplexAction{a, b});
-    }
-  }
-  return actions;
-}
-
-}  // namespace
-
-Plan3Result PlanOptimalDischarge3(const PlannerBattery& battery_a,
-                                  const PlannerBattery& battery_b,
-                                  const PlannerBattery& battery_c, const PowerTrace& load,
-                                  const Plan3Config& config) {
-  SDB_CHECK(battery_a.params != nullptr && battery_b.params != nullptr &&
-            battery_c.params != nullptr);
-  SDB_CHECK(config.soc_grid >= 2);
-  SDB_CHECK(config.share_grid >= 2);
-  const int g = config.soc_grid;
-  const double dt = config.step.value();
-  SDB_CHECK(dt > 0.0);
-  const int steps = static_cast<int>(std::ceil(load.TotalDuration().value() / dt));
-  const std::vector<SimplexAction> actions = MakeSimplexActions(config.share_grid);
-
-  Plan3Result result;
-  result.step = config.step;
-  result.serviced = Seconds(0.0);
-  result.predicted_loss = Joules(0.0);
-  if (steps == 0) {
-    result.full_trace_served = true;
-    return result;
-  }
-
-  std::vector<double> loads(steps);
-  for (int t = 0; t < steps; ++t) {
-    loads[t] = load.Sample(Seconds((t + 0.5) * dt)).value();
-  }
-  std::vector<double> soc_axis(g);
-  for (int i = 0; i < g; ++i) {
-    soc_axis[i] = static_cast<double>(i) / (g - 1);
-  }
-
-  const BatteryParams* params[3] = {battery_a.params, battery_b.params, battery_c.params};
-  auto legs_for = [&](double p, double sa, double sb, double sc, double ia, double ib,
-                      double ic, LegOutcome out[3]) {
-    out[0] = SolveLeg(*params[0], ia, sa * p, dt);
-    if (!out[0].feasible) {
-      return false;
-    }
-    out[1] = SolveLeg(*params[1], ib, sb * p, dt);
-    if (!out[1].feasible) {
-      return false;
-    }
-    out[2] = SolveLeg(*params[2], ic, sc * p, dt);
-    return out[2].feasible;
-  };
-
-  // Backward induction over the G^3 grid.
-  std::vector<std::vector<double>> values(steps + 1, std::vector<double>(g * g * g, 0.0));
-  for (int t = steps - 1; t >= 0; --t) {
-    const std::vector<double>& next = values[t + 1];
-    std::vector<double>& current = values[t];
-    double p = loads[t];
-    for (int ia = 0; ia < g; ++ia) {
-      for (int ib = 0; ib < g; ++ib) {
-        for (int ic = 0; ic < g; ++ic) {
-          double best = 0.0;
-          for (const SimplexAction& action : actions) {
-            double sc = 1.0 - action.share_a - action.share_b;
-            LegOutcome legs[3];
-            if (!legs_for(p, action.share_a, action.share_b, sc, soc_axis[ia], soc_axis[ib],
-                          soc_axis[ic], legs)) {
-              continue;
-            }
-            double loss = legs[0].loss_j + legs[1].loss_j + legs[2].loss_j;
-            double value = dt - config.loss_weight_s_per_j * loss +
-                           InterpolateGrid3(next, g, legs[0].next_soc, legs[1].next_soc,
-                                            legs[2].next_soc);
-            best = std::max(best, value);
-          }
-          current[(ia * g + ib) * g + ic] = best;
-        }
-      }
-    }
-  }
-
-  // Forward pass.
-  double soc[3] = {Clamp(battery_a.initial_soc, 0.0, 1.0),
-                   Clamp(battery_b.initial_soc, 0.0, 1.0),
-                   Clamp(battery_c.initial_soc, 0.0, 1.0)};
-  double serviced_s = 0.0;
-  double loss_j = 0.0;
-  for (int t = 0; t < steps; ++t) {
-    double p = loads[t];
-    double best_value = -1.0;
-    SimplexAction best_action{0.0, 0.0};
-    LegOutcome best_legs[3];
-    for (const SimplexAction& action : actions) {
-      double sc = 1.0 - action.share_a - action.share_b;
-      LegOutcome legs[3];
-      if (!legs_for(p, action.share_a, action.share_b, sc, soc[0], soc[1], soc[2], legs)) {
-        continue;
-      }
-      double loss = legs[0].loss_j + legs[1].loss_j + legs[2].loss_j;
-      double value = dt - config.loss_weight_s_per_j * loss +
-                     InterpolateGrid3(values[t + 1], g, legs[0].next_soc, legs[1].next_soc,
-                                      legs[2].next_soc);
-      if (value > best_value) {
-        best_value = value;
-        best_action = action;
-        best_legs[0] = legs[0];
-        best_legs[1] = legs[1];
-        best_legs[2] = legs[2];
-      }
-    }
-    if (best_value < 0.0) {
-      result.full_trace_served = false;
-      result.serviced = Seconds(serviced_s);
-      result.predicted_loss = Joules(loss_j);
-      return result;
-    }
-    result.share_a_schedule.push_back(best_action.share_a);
-    result.share_b_schedule.push_back(best_action.share_b);
-    for (int i = 0; i < 3; ++i) {
-      soc[i] = best_legs[i].next_soc;
-      loss_j += best_legs[i].loss_j;
-    }
-    serviced_s += dt;
-  }
-  result.full_trace_served = true;
-  result.serviced = Seconds(serviced_s);
-  result.predicted_loss = Joules(loss_j);
-  return result;
-}
-
 }  // namespace sdb

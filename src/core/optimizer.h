@@ -54,37 +54,10 @@ PlanResult PlanOptimalDischarge(const PlannerBattery& battery_a, const PlannerBa
                                 const PowerTrace& load, const PlanConfig& config = {});
 
 // Evaluates a *fixed* share (battery A's fraction) on the planner's own
-// model — the myopic baseline the bench compares against.
+// model: the reference the optimizer tests hold the DP plan against.
 PlanResult EvaluateFixedShare(const PlannerBattery& battery_a, const PlannerBattery& battery_b,
                               const PowerTrace& load, double share_a,
                               const PlanConfig& config = {});
-
-// --- Three-battery planning ---------------------------------------------------
-
-struct Plan3Config {
-  int soc_grid = 21;             // Grid levels per battery (state space G^3).
-  int share_grid = 6;            // Simplex resolution: shares in k/(share_grid-1).
-  Duration step = Minutes(5.0);
-  double loss_weight_s_per_j = 1e-4;
-};
-
-struct Plan3Result {
-  Duration serviced;
-  Energy predicted_loss;
-  // Battery A's and B's power shares per step (C carries the remainder).
-  std::vector<double> share_a_schedule;
-  std::vector<double> share_b_schedule;
-  Duration step;
-  bool full_trace_served = false;
-};
-
-// Three-battery generalisation of PlanOptimalDischarge. State space is
-// G^3, so keep `soc_grid` modest (21 levels and a 24 h / 5 min trace solve
-// in a couple of seconds).
-Plan3Result PlanOptimalDischarge3(const PlannerBattery& battery_a,
-                                  const PlannerBattery& battery_b,
-                                  const PlannerBattery& battery_c, const PowerTrace& load,
-                                  const Plan3Config& config = {});
 
 }  // namespace sdb
 

@@ -186,9 +186,6 @@ void SdbRuntime::SetWorkloadHint(std::optional<WorkloadHint> hint) {
 
 void SdbRuntime::AdvanceTime(Duration dt) {
   elapsed_ += dt;
-  if (override_advance_ != nullptr) {
-    override_advance_(dt);
-  }
   // Grow the reintegration ramp of every battery that is back in the
   // allocation but not yet at full share.
   if (config_.reintegration_horizon.value() > 0.0) {
@@ -402,8 +399,7 @@ Status SdbRuntime::Update(Power expected_load, Power expected_supply) {
 
   SDB_TRACE_SPAN("core", "runtime.allocate");
   std::vector<double>& d = discharge_shares_;
-  d = discharge_override_ != nullptr ? discharge_override_->Allocate(views, expected_load)
-                                     : reserve_.Allocate(views, expected_load);
+  d = reserve_.Allocate(views, expected_load);
   if (masked > 0) {
     ApplyDegradedExclusion(excluded_, &d, &eligible_scratch_);
   }

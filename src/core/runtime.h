@@ -7,7 +7,6 @@
 #define SRC_CORE_RUNTIME_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -140,17 +139,6 @@ class SdbRuntime {
   // must outlive the runtime or be detached with nullptr.
   void AttachLink(CommandLinkClient* link) { link_ = link; }
 
-  // Replaces the built-in reserve(blend(RBL, CCB)) discharge scheduling with
-  // an arbitrary policy (an MPC or schedule-replay policy, say). The policy
-  // must outlive the runtime or be detached with nullptr. `on_advance`, when
-  // given, receives every AdvanceTime delta so clock-driven policies stay in
-  // sync with simulated time.
-  void OverrideDischargePolicy(DischargePolicy* policy,
-                               std::function<void(Duration)> on_advance = nullptr) {
-    discharge_override_ = policy;
-    override_advance_ = std::move(on_advance);
-  }
-
   // --- Introspection ----------------------------------------------------------
 
   // The views Update plans from, for the current status. It fills the
@@ -235,8 +223,6 @@ class SdbRuntime {
   std::vector<double> discharge_shares_;
   std::vector<double> charge_shares_;
   std::vector<bool> eligible_scratch_;  // For the exclusion and ramp passes.
-  DischargePolicy* discharge_override_ = nullptr;
-  std::function<void(Duration)> override_advance_;
   Duration elapsed_ = Seconds(0.0);
   std::vector<double> last_discharge_ratios_;
   std::vector<double> last_charge_ratios_;

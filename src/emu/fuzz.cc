@@ -1,9 +1,12 @@
 #include "src/emu/fuzz.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -32,6 +35,18 @@ constexpr uint64_t kFlipSalt = 0xF11BD1CE5EEDULL;
 constexpr uint64_t kChargeFaultSalt = 0xC4A26EFA5EEDULL;
 constexpr uint64_t kFuzzTornSalt = 0xF0221025EEDULL;
 
+// Sampled case shape: fault events in a random plan, deaths in a crash
+// schedule, and the chance of (and cap on) mid-run directive flips, aimed at
+// the CoolDown/Probing window after a fault clears when the case has faults.
+constexpr int kMaxFaultEvents = 3;
+constexpr int kMaxCrashEvents = 2;
+constexpr double kFlipProbability = 0.4;
+constexpr int kMaxDirectiveFlips = 2;
+// Checkpoint cadence for the crash-equivalence twin of a crashing case.
+constexpr Duration kCrashCheckpointPeriod = Minutes(5.0);
+// Oracle evaluations the shrinker may spend per failing case.
+constexpr int kShrinkBudget = 48;
+
 uint64_t HashString(const std::string& s) {
   // FNV-1a; folded into the fingerprint via MixU64.
   uint64_t h = 0xCBF29CE484222325ULL;
@@ -47,16 +62,40 @@ std::string FormatG17(double v) {
   return buffer;
 }
 
+// Reproducer tokens are strict: the whole token parses, every number is
+// finite, and seeds are unsigned decimal, as `--seed` demands.
 bool ParseDouble(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
+  return !text.empty() && *end == '\0' && std::isfinite(*out);
+}
+
+// Directive weights and fault probabilities.
+bool ParseFraction(const std::string& text, double* out) {
+  return ParseDouble(text, out) && *out >= 0.0 && *out <= 1.0;
 }
 
 bool ParseU64(const std::string& text, uint64_t* out) {
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;  // Empty, signed or space-led: strtoull would wrap "-1".
+  }
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !text.empty();
+  return *end == '\0' && errno != ERANGE;
+}
+
+// A fault's battery: an index, or -1 for every battery.
+bool ParseFaultBattery(const std::string& text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || parsed < -1 ||
+      parsed > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
 }
 
 std::vector<std::string> SplitOn(const std::string& text, char sep) {
@@ -206,12 +245,12 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
         return InvalidArgumentError("bad seed '" + value + "'");
       }
     } else if (key == "dch") {
-      if (!ParseDouble(value, &fuzz_case.directives.discharging)) {
-        return InvalidArgumentError("bad dch '" + value + "'");
+      if (!ParseFraction(value, &fuzz_case.directives.discharging)) {
+        return InvalidArgumentError("bad dch '" + value + "' (wants [0, 1])");
       }
     } else if (key == "chg") {
-      if (!ParseDouble(value, &fuzz_case.directives.charging)) {
-        return InvalidArgumentError("bad chg '" + value + "'");
+      if (!ParseFraction(value, &fuzz_case.directives.charging)) {
+        return InvalidArgumentError("bad chg '" + value + "' (wants [0, 1])");
       }
     } else if (key == "fseed") {
       if (!ParseU64(value, &fuzz_case.faults.seed)) {
@@ -232,19 +271,24 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
       FaultEvent event;
       double start = 0.0;
       double end = 0.0;
-      double battery = 0.0;
       if (!ParseName(parts[0], kAllFaultClasses, FaultClassName, &event.kind)) {
         return InvalidArgumentError("unknown fault kind '" + parts[0] + "'");
       }
       if (!ParseDouble(parts[1], &start) || !ParseDouble(parts[2], &end) ||
-          !ParseDouble(parts[3], &battery) ||
           !ParseDouble(parts[4], &event.magnitude) ||
           !ParseDouble(parts[5], &event.probability)) {
         return InvalidArgumentError("bad fault numbers in '" + value + "'");
       }
+      if (!ParseFaultBattery(parts[3], &event.battery)) {
+        return InvalidArgumentError("fault battery wants an integer >= -1, got '" + value +
+                                    "'");
+      }
+      if (end < start || !(event.probability >= 0.0 && event.probability <= 1.0)) {
+        return InvalidArgumentError("fault wants start <= end and prob in [0, 1], got '" +
+                                    value + "'");
+      }
       event.start = Seconds(start);
       event.end = Seconds(end);
-      event.battery = static_cast<int>(battery);
       fuzz_case.faults.Add(event);
     } else if (key == "crash") {
       const std::vector<std::string> parts = SplitOn(value, ':');
@@ -274,8 +318,8 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
       DirectiveFlip flip;
       double time = 0.0;
       if (!ParseDouble(parts[0], &time) ||
-          !ParseDouble(parts[1], &flip.discharging) ||
-          !ParseDouble(parts[2], &flip.charging)) {
+          !ParseFraction(parts[1], &flip.discharging) ||
+          !ParseFraction(parts[2], &flip.charging)) {
         return InvalidArgumentError("bad flip numbers in '" + value + "'");
       }
       flip.time = Seconds(time);
@@ -290,11 +334,11 @@ StatusOr<FuzzCase> ParseFuzzCase(const std::string& line) {
   return fuzz_case;
 }
 
-std::string FormatFuzzCorpus(const std::vector<FuzzCase>& cases) {
+std::string FormatFuzzCorpus(const std::vector<std::string>& reproducers) {
   std::ostringstream os;
   os << "# sdb fuzz corpus: one reproducer per line (sdbsim fuzz --replay)\n";
-  for (const FuzzCase& fuzz_case : cases) {
-    os << FormatFuzzCase(fuzz_case) << "\n";
+  for (const std::string& line : reproducers) {
+    os << line << "\n";
   }
   return os.str();
 }
@@ -359,7 +403,7 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
     fuzz_case.faults =
         MakeRandomFaultPlan(case_seed ^ kFaultSalt,
                             static_cast<int>(spec->batteries.size()), horizon,
-                            std::max(1, config.max_fault_events));
+                            kMaxFaultEvents);
   }
 
   // The dimensions below draw from their own salted streams (see the salt
@@ -404,18 +448,15 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
   Rng crash_rng(case_seed ^ kCrashSalt);
   if (crash_rng.NextDouble() < config.crash_probability) {
     fuzz_case.crashes =
-        MakeRandomCrashPlan(case_seed ^ kCrashSalt, horizon,
-                            std::max(1, config.max_crash_events))
-            .events;
+        MakeRandomCrashPlan(case_seed ^ kCrashSalt, horizon, kMaxCrashEvents).events;
   }
 
   // Directive flips: when the case has faults, aim them just after a fault
   // window closes — the supervisor's CoolDown → Probing recovery window —
   // so replanning under new directives meets a still-recovering pack.
   Rng flip_rng(case_seed ^ kFlipSalt);
-  if (flip_rng.NextDouble() < config.flip_probability) {
-    const int count = 1 + static_cast<int>(flip_rng.NextBounded(
-                              std::max(1, config.max_directive_flips)));
+  if (flip_rng.NextDouble() < kFlipProbability) {
+    const int count = 1 + static_cast<int>(flip_rng.NextBounded(kMaxDirectiveFlips));
     for (int k = 0; k < count; ++k) {
       DirectiveFlip flip;
       if (!fuzz_case.faults.events.empty()) {
@@ -554,8 +595,8 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
   double drawn = (e0 - e1) + result.charged.value() + supply_to_load_j;
   double accounted = result.delivered.value() + result.TotalLoss().value() -
                      charge_circuit_loss_j;
-  double tolerance = std::max(2.0, std::fabs(drawn) * config.energy_tolerance_fraction);
-  if (!std::isfinite(accounted) || std::fabs(drawn - accounted) > tolerance) {
+  if (!std::isfinite(accounted) ||
+      std::fabs(drawn - accounted) > LedgerTolerance(Joules(drawn)).value()) {
     sink.Add(result.elapsed, "ledger",
              "drawn " + std::to_string(drawn) + " J vs accounted " +
                  std::to_string(accounted) + " J");
@@ -644,7 +685,7 @@ std::vector<FuzzViolation> EvaluateFuzzCase(
               [](const CrashEvent& a, const CrashEvent& b) {
                 return a.time.value() < b.time.value();
               });
-    twin.checkpoint_period = config.crash_checkpoint_period;
+    twin.checkpoint_period = kCrashCheckpointPeriod;
     twin.config_digest = MixU64(MixU64(0, fuzz_case.seed), HashString(fuzz_case.pack));
     twin.torn_seed = fuzz_case.seed ^ kFuzzTornSalt;
     twin.save_tag = "crash-save";
@@ -737,7 +778,7 @@ FuzzCase ShrinkFuzzCase(const FuzzCase& fuzz_case, const FuzzConfig& config,
       [&config](const FuzzCase& candidate) {
         return !EvaluateFuzzCase(candidate, config).empty();
       },
-      config.shrink_budget, steps);
+      kShrinkBudget, steps);
 }
 
 // --- The sweep ---------------------------------------------------------------

@@ -55,30 +55,18 @@ struct FuzzConfig {
   std::vector<std::string> packs;
   // Chance a sampled case carries a random fault plan.
   double fault_probability = 0.5;
-  int max_fault_events = 3;
-  // Chance a sampled case carries a seeded crash schedule (oracle 5), and
-  // how many deaths it may hold. Sampled from a dedicated salted stream, so
-  // turning the dimension off leaves every other draw untouched.
+  // Chance a sampled case carries a seeded crash schedule (oracle 5).
+  // Sampled from a dedicated salted stream, so turning the dimension off
+  // leaves every other draw untouched.
   double crash_probability = 0.35;
-  int max_crash_events = 2;
-  // Checkpoint cadence for the crash-equivalence twin of a crashing case.
-  Duration crash_checkpoint_period = Minutes(5.0);
-  // Chance a sampled case flips the policy directives mid-run (aimed at the
-  // CoolDown/Probing window after a fault clears, when the case has faults).
-  double flip_probability = 0.4;
-  int max_directive_flips = 2;
   // Oracle 4: fail when the sampled directives' lifetime falls more than
   // this fraction short of the best panel policy on the fault-free run.
   // Zero demands the sampled policy match the panel optimum exactly.
   double max_lifetime_loss_fraction = 0.25;
-  // Oracle 2 tolerance: |drawn - accounted| <= max(2 J, drawn * frac).
-  double energy_tolerance_fraction = 0.03;
   // Per-run horizon cap: long packs are truncated here so a fuzz sweep
   // stays fast. Applied identically to every run of a case.
   Duration horizon_cap = Hours(2.0);
   bool shrink = true;
-  // Oracle evaluations the shrinker may spend per failing case.
-  int shrink_budget = 48;
 };
 
 // One mid-run policy re-aim: at `time` the runtime's directives are
@@ -143,9 +131,9 @@ struct FuzzReport {
 std::string FormatFuzzCase(const FuzzCase& fuzz_case);
 StatusOr<FuzzCase> ParseFuzzCase(const std::string& line);
 
-// A corpus is reproducer lines separated by newlines; '#' comments and
-// blank lines are skipped on parse.
-std::string FormatFuzzCorpus(const std::vector<FuzzCase>& cases);
+// A corpus is a header comment, then reproducer lines (FormatFuzzCase's
+// output) one per line; '#' comments and blank lines are skipped on parse.
+std::string FormatFuzzCorpus(const std::vector<std::string>& reproducers);
 StatusOr<std::vector<FuzzCase>> ParseFuzzCorpus(const std::string& text);
 
 // --- Single-case machinery ---------------------------------------------------

@@ -9,7 +9,9 @@
 #ifndef SRC_EMU_HARNESS_H_
 #define SRC_EMU_HARNESS_H_
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -62,6 +64,13 @@ uint64_t MergeFingerprints(const std::vector<Slot>& slots) {
 void RunSeededSweep(int64_t count, int jobs, const std::function<void(int64_t)>& run_one);
 
 // --- Violations --------------------------------------------------------------
+
+// The energy-ledger bound the fault soak (invariant 5) and fuzz oracle 2
+// share: a run's |drawn - accounted| may reach 2 J or 3% of what it drew,
+// whichever is larger.
+inline Energy LedgerTolerance(Energy drawn) {
+  return Joules(std::max(2.0, std::fabs(drawn.value()) * 0.03));
+}
 
 // One recorded breach; each harness copies these into its own report type.
 struct Breach {

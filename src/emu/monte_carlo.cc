@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/chem/soa_kernel.h"
+#include "src/obs/event.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -58,6 +59,10 @@ MonteCarloResult RunMonteCarlo(const ScenarioFn& scenario, int runs,
   int jobs = options.jobs > 0 ? options.jobs : ThreadPool::DefaultThreadCount();
   Duration worker_wait;
   auto run_shard = [&](int64_t s) {
+    // Hermetic, as RunSeededSweep's slots are: a shard never emits into a
+    // journal its caller installed (the --flight-out process journal when
+    // shards run inline), so that journal does not depend on --jobs.
+    obs::JournalScope silence(nullptr);
     int first = static_cast<int>(s) * kMonteCarloShardSize;
     int last = std::min(runs, first + kMonteCarloShardSize);
     shards[static_cast<size_t>(s)] = RunShard(scenario, options.base_seed, first, last);

@@ -15,6 +15,8 @@ namespace {
 // Every schedule derives its rig seeds from the schedule seed alone, so a
 // report line ("seed 17 violated X") is all that is needed to replay it.
 constexpr uint64_t kMicroSeedSalt = 0x50AB0B5EEDULL;
+// Fault events per schedule: 1..kSoakMaxFaultEvents.
+constexpr int kSoakMaxFaultEvents = 6;
 
 float ReadF32(const uint8_t* data) {
   float value;
@@ -96,8 +98,8 @@ RigOutcome RunRig(const SoakConfig& config, uint64_t seed, const FaultPlan& plan
     // Invariant 5: the energy ledger balances over the whole run.
     double drawn = e0 - e1;
     double accounted = result.delivered.value() + result.TotalLoss().value();
-    double tolerance = std::max(2.0, drawn * config.energy_tolerance_fraction);
-    if (!std::isfinite(accounted) || std::fabs(drawn - accounted) > tolerance) {
+    if (!std::isfinite(accounted) ||
+        std::fabs(drawn - accounted) > LedgerTolerance(Joules(drawn)).value()) {
       sink->Add(result.elapsed, "ledger",
                 "drawn " + std::to_string(drawn) + " J vs accounted " +
                     std::to_string(accounted) + " J");
@@ -121,7 +123,7 @@ SoakScheduleReport RunOneSchedule(const SoakConfig& config, uint64_t seed) {
   SoakScheduleReport report;
   report.seed = seed;
   FaultPlan plan =
-      MakeRandomFaultPlan(seed, kTabletRigBatteries, config.horizon, config.max_events);
+      MakeRandomFaultPlan(seed, kTabletRigBatteries, config.horizon, kSoakMaxFaultEvents);
   report.events = static_cast<int>(plan.events.size());
 
   // The never-faulted twin of the same rig gives the steady-state
@@ -144,7 +146,7 @@ SoakScheduleReport RunOneSchedule(const SoakConfig& config, uint64_t seed) {
   if (!report.recovered) {
     sink.Add(config.horizon, "no-recovery",
              "supervisor/runtime/controller still unhealthy at end of horizon");
-  } else if (report.max_share_delta > config.convergence_tolerance) {
+  } else if (report.max_share_delta > kSoakConvergenceTolerance) {
     sink.Add(config.horizon, "convergence",
              "max share delta " + std::to_string(report.max_share_delta) + " vs baseline");
   }

@@ -36,16 +36,14 @@ struct SoakConfig {
   Duration tick = Seconds(10.0);
   Duration runtime_period = Minutes(10.0);
   Power load = Watts(6.0);
-  int max_events = 6;          // Fault events per schedule: 1..max_events.
   // Worker threads: 1 = serial, 0 = auto (SDB_THREADS / hardware).
   int jobs = 1;
-  // Energy-ledger tolerance: |drawn - accounted| <= max(2 J, drawn * frac).
-  double energy_tolerance_fraction = 0.03;
-  // Post-recovery convergence: largest per-battery difference between the
-  // final programmed discharge shares of the faulted run and the
-  // never-faulted baseline.
-  double convergence_tolerance = 0.15;
 };
+
+// Post-recovery convergence (invariant 6): the largest per-battery difference
+// allowed between the final programmed discharge shares of the faulted run
+// and the never-faulted baseline.
+inline constexpr double kSoakConvergenceTolerance = 0.15;
 
 // One invariant breach, with enough context to replay the schedule.
 struct SoakViolation {

@@ -4,8 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/util/check.h"
-
 namespace sdb {
 
 std::string FormatPowerTraceCsv(const PowerTrace& trace) {
@@ -104,23 +102,6 @@ StatusOr<PowerTrace> ReadPowerTraceFile(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return ParsePowerTraceCsv(os.str());
-}
-
-PowerTrace ResampleTrace(const PowerTrace& trace, Duration bucket) {
-  SDB_CHECK(bucket.value() > 0.0);
-  PowerTrace out;
-  double total = trace.TotalDuration().value();
-  double b = bucket.value();
-  for (double t = 0.0; t < total; t += b) {
-    double hi = std::min(total, t + b);
-    double width = hi - t;
-    if (width <= 0.0) {
-      break;
-    }
-    Energy e = trace.EnergyBetween(Seconds(t), Seconds(hi));
-    out.Append(Seconds(width), Watts(e.value() / width));
-  }
-  return out;
 }
 
 }  // namespace sdb

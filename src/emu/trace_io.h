@@ -25,10 +25,6 @@ StatusOr<PowerTrace> ParsePowerTraceCsv(const std::string& text);
 Status WritePowerTraceFile(const PowerTrace& trace, const std::string& path);
 StatusOr<PowerTrace> ReadPowerTraceFile(const std::string& path);
 
-// Downsamples a trace to fixed-width segments of `bucket` (mean power per
-// bucket) — useful to compact 100 Hz recordings before planning over them.
-PowerTrace ResampleTrace(const PowerTrace& trace, Duration bucket);
-
 }  // namespace sdb
 
 #endif  // SRC_EMU_TRACE_IO_H_

@@ -141,20 +141,4 @@ PowerTrace MakeDroneFlightTrace(Duration flight, uint64_t seed) {
   return trace;
 }
 
-PowerTrace MakeSmartGlassesDayTrace(uint64_t seed) {
-  Rng rng(seed);
-  PowerTrace trace;
-  for (int minute = 0; minute < 12 * 60; ++minute) {
-    double p = 0.03;  // Sensors + standby.
-    double roll = rng.NextDouble();
-    if (roll < 0.08) {
-      p = 0.9;  // Camera capture burst.
-    } else if (roll < 0.30) {
-      p = 0.25;  // Heads-up display session.
-    }
-    trace.Append(Minutes(1.0), Watts(p));
-  }
-  return trace;
-}
-
 }  // namespace sdb

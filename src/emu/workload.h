@@ -58,9 +58,6 @@ PowerTrace MakePhoneDayTrace(uint64_t seed = 23);
 // sustained high power with sharp peaks (scaled to bench-size cells).
 PowerTrace MakeDroneFlightTrace(Duration flight, uint64_t seed = 29);
 
-// Smart-glasses day: display+camera bursts over a tiny idle baseline.
-PowerTrace MakeSmartGlassesDayTrace(uint64_t seed = 31);
-
 }  // namespace sdb
 
 #endif  // SRC_EMU_WORKLOAD_H_

@@ -10,25 +10,6 @@
 namespace sdb {
 namespace obs {
 
-namespace {
-
-// Prometheus metric names only allow [a-zA-Z0-9_:]; our "sdb.layer.noun"
-// naming doctrine uses dots, so the text exporter maps every other
-// character to '_'.
-std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    bool valid = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                 (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!valid) {
-      c = '_';
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 HistogramMetric::HistogramMetric(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)), counts_(upper_bounds_.size() + 1) {
   SDB_CHECK(!upper_bounds_.empty());
@@ -113,33 +94,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms[name] = std::move(h);
   }
   return snap;
-}
-
-std::string MetricsRegistry::ToText() const {
-  MetricsSnapshot snap = Snapshot();
-  std::ostringstream os;
-  for (const auto& [name, value] : snap.counters) {
-    os << PromName(name) << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    os << PromName(name) << " " << JsonNumber(value) << "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    // Prometheus histogram form: `_bucket` lines carry *cumulative* counts,
-    // the "+Inf" bucket equals `_count`, and `_sum`/`_count` close out the
-    // series.
-    std::string prom = PromName(name);
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      cumulative += h.counts[i];
-      os << prom << "_bucket{le=\"" << JsonNumber(h.upper_bounds[i]) << "\"} " << cumulative
-         << "\n";
-    }
-    os << prom << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << prom << "_sum " << JsonNumber(h.sum) << "\n";
-    os << prom << "_count " << h.count << "\n";
-  }
-  return os.str();
 }
 
 std::string MetricsRegistry::ToJson() const {

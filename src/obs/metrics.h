@@ -112,11 +112,6 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  // Prometheus text exporter, one metric per line ("name value") with names
-  // escaped to [a-zA-Z0-9_:] (dots become underscores); histograms expand to
-  // cumulative `name_bucket{le="..."}` lines where the "+Inf" bucket equals
-  // `name_count`, followed by `name_sum` and `name_count`.
-  std::string ToText() const;
   // JSON exporter: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string ToJson() const;
 
@@ -136,7 +131,7 @@ class MetricsRegistry {
 // metrics and trace exporters).
 std::string JsonEscape(std::string_view s);
 
-// Formats a double for JSON/text export: shortest round-trippable form,
+// Formats a double for JSON export: shortest round-trippable form,
 // with non-finite values clamped to 0 (JSON has no NaN/inf).
 std::string JsonNumber(double v);
 

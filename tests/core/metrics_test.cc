@@ -26,15 +26,6 @@ TEST(CcbTest, UnwornBatteriesDoNotDivideByZero) {
   EXPECT_DOUBLE_EQ(ComputeCcb(views), 1.0);
 }
 
-TEST(WearSpreadTest, ComputesStatistics) {
-  BatteryViews views = {MakeView(0, 0.5, 0.05, 0.1), MakeView(1, 0.5, 0.05, 0.5),
-                        MakeView(2, 0.5, 0.05, 0.3)};
-  WearSpread spread = ComputeWearSpread(views);
-  EXPECT_DOUBLE_EQ(spread.min_wear, 0.1);
-  EXPECT_DOUBLE_EQ(spread.max_wear, 0.5);
-  EXPECT_NEAR(spread.mean_wear, 0.3, 1e-12);
-}
-
 TEST(RblTest, ZeroLoadReturnsTotalEnergy) {
   BatteryViews views = {MakeView(0, 0.5, 0.05), MakeView(1, 1.0, 0.05)};
   double total = (RemainingEnergy(views[0]) + RemainingEnergy(views[1])).value();

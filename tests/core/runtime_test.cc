@@ -8,7 +8,6 @@
 
 #include "src/chem/library.h"
 #include "src/core/checkpoint/rig_codec.h"
-#include "src/core/mpc_policy.h"
 #include "src/emu/simulator.h"
 #include "src/hw/command_link.h"
 #include "src/hw/safety.h"
@@ -167,58 +166,6 @@ TEST(RuntimeTest, ChargeRatiosFavourAcceptance) {
   ASSERT_TRUE(runtime.Update(Watts(0.0), Watts(40.0)).ok());
   // The 3C fast-charge battery takes the bigger slice.
   EXPECT_GT(runtime.last_charge_ratios()[0], runtime.last_charge_ratios()[1]);
-}
-
-TEST(RuntimeOverrideTest, OverridePolicyDrivesTheRatios) {
-  SdbMicrocontroller micro = MakeMicro();
-  SdbRuntime runtime(&micro);
-  // A trivial fixed-split policy.
-  class FixedPolicy final : public DischargePolicy {
-   public:
-    const std::vector<double>& Allocate(const BatteryViews& views, Power) override {
-      (void)views;
-      return shares_;
-    }
-    std::string_view name() const override { return "fixed"; }
-
-   private:
-    std::vector<double> shares_{0.9, 0.1};
-  } fixed;
-  runtime.OverrideDischargePolicy(&fixed);
-  ASSERT_TRUE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
-  EXPECT_NEAR(runtime.last_discharge_ratios()[0], 0.9, 1e-9);
-  // Detaching restores the built-in scheduling.
-  runtime.OverrideDischargePolicy(nullptr);
-  ASSERT_TRUE(runtime.Update(Watts(5.0), Watts(0.0)).ok());
-  EXPECT_LT(runtime.last_discharge_ratios()[0], 0.9);
-}
-
-TEST(RuntimeOverrideTest, MpcRunsInsideTheSimulator) {
-  std::vector<Cell> cells;
-  cells.emplace_back(MakeWatchLiIon(MilliAmpHours(200.0)), 1.0);
-  cells.emplace_back(MakeType4Bendable(MilliAmpHours(200.0)), 1.0);
-  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), 19);
-  SdbRuntime runtime(&micro);
-  const BatteryParams* a = &micro.pack().cell(0).params();
-  const BatteryParams* b = &micro.pack().cell(1).params();
-  MpcConfig config;
-  config.horizon = Hours(1.0);
-  config.plan.soc_grid = 21;
-  MpcDischargePolicy mpc(a, b,
-                         [](Duration, Duration horizon) {
-                           return PowerTrace::Constant(Watts(0.1), horizon);
-                         },
-                         config);
-  runtime.OverrideDischargePolicy(&mpc, [&mpc](Duration dt) { mpc.Advance(dt); });
-
-  SimConfig sim_config;
-  sim_config.tick = Seconds(10.0);
-  sim_config.runtime_period = Minutes(5.0);
-  Simulator sim(&runtime, sim_config);
-  SimResult result = sim.Run(PowerTrace::Constant(Watts(0.1), Hours(2.0)));
-  EXPECT_FALSE(result.first_shortfall.has_value());
-  EXPECT_GT(mpc.replans(), 10);  // The advance hook kept the clock moving.
-  EXPECT_NEAR(ToHours(mpc.elapsed()), 2.0, 0.05);
 }
 
 // --- Fault resilience: retries, stale status, degraded mode ---------------

@@ -169,6 +169,44 @@ TEST(FuzzTest, ParseRejectsMalformedLines) {
   EXPECT_FALSE(ParseFuzzCase("pack=ev-burst flip=ten:0.5:0.5").ok());
 }
 
+// A hand-edited --replay line cannot smuggle in a value the sampler never
+// draws: non-finite numbers, signed seeds, weights or probabilities outside
+// [0, 1], a window that ends before it starts, or a battery that is not an
+// integer >= -1.
+TEST(FuzzTest, ParseRejectsOutOfRangeTokens) {
+  const char* const kBad[] = {
+      "pack=ev-burst seed=-1",                                // Signed seed (strtoull wraps).
+      "pack=ev-burst seed=+1",                                // Signed seed.
+      "pack=ev-burst seed=99999999999999999999",              // Seed past 2^64.
+      "pack=ev-burst fseed=-1",                               // Signed fault seed.
+      "pack=ev-burst dch=nan",                                // Non-finite.
+      "pack=ev-burst p:cruise_w=inf",                         // Non-finite.
+      "pack=ev-burst crash=pre-allocate:none:nan",            // Non-finite.
+      "pack=ev-burst dch=1.5",                                // dch outside [0, 1].
+      "pack=ev-burst chg=-0.1",                               // chg outside [0, 1].
+      "pack=ev-burst flip=10:0.5:2",                          // flip chg outside [0, 1].
+      "pack=ev-burst fault=gauge-bias:0:inf:0:0.1:1",         // Non-finite.
+      "pack=ev-burst fault=gauge-bias:300:100:0:0.1:1",       // end < start.
+      "pack=ev-burst fault=gauge-bias:0:100:0:0.1:1.5",       // Probability above 1.
+      "pack=ev-burst fault=gauge-bias:0:100:0:0.1:-0.5",      // Probability below 0.
+      "pack=ev-burst fault=gauge-bias:0:100:nan:0.1:1",       // Battery not an integer.
+      "pack=ev-burst fault=gauge-bias:0:100:1e20:0.1:1",      // Battery past int.
+      "pack=ev-burst fault=gauge-bias:0:100:1.5:0.1:1",       // Battery not an integer.
+      "pack=ev-burst fault=gauge-bias:0:100:-2:0.1:1",        // Battery below -1.
+  };
+  for (const char* line : kBad) {
+    EXPECT_FALSE(ParseFuzzCase(line).ok()) << line;
+  }
+  // The edges of each rule still parse.
+  auto edges = ParseFuzzCase(
+      "pack=ev-burst seed=18446744073709551615 dch=0 chg=1 fseed=0 "
+      "fault=gauge-bias:100:100:-1:0.1:0 flip=10:1:0");
+  ASSERT_TRUE(edges.ok()) << edges.status().message();
+  EXPECT_EQ(edges->seed, 18446744073709551615ULL);
+  ASSERT_EQ(edges->faults.events.size(), 1u);
+  EXPECT_EQ(edges->faults.events[0].battery, -1);
+}
+
 TEST(FuzzTest, CrashAndFlipTokensRoundTrip) {
   FuzzCase fuzz_case;
   fuzz_case.pack = "fastcharge-tablet";
@@ -220,7 +258,9 @@ TEST(FuzzTest, CorpusRoundTripsWithCommentsAndBlanks) {
   FuzzConfig config = ShortConfig();
   std::vector<FuzzCase> cases = {SampleFuzzCase(config, 4),
                                  SampleFuzzCase(config, 5)};
-  std::string corpus = "# header comment\n\n" + FormatFuzzCorpus(cases) + "\n";
+  std::string corpus = "# header comment\n\n" +
+                       FormatFuzzCorpus({FormatFuzzCase(cases[0]), FormatFuzzCase(cases[1])}) +
+                       "\n";
   auto parsed = ParseFuzzCorpus(corpus);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   ASSERT_EQ(parsed->size(), cases.size());

@@ -16,6 +16,7 @@
 #include "src/emu/monte_carlo.h"
 #include "src/emu/workload.h"
 #include "src/hw/fault.h"
+#include "src/obs/event.h"
 #include "src/obs/metrics.h"
 
 namespace sdb {
@@ -254,6 +255,28 @@ TEST(ParallelMonteCarloTest, FaultInjectionStaysBitIdenticalAcrossJobs) {
   options.jobs = 1;
   MonteCarloResult healthy = RunMonteCarlo(BurstyWatchScenario, 24, options);
   EXPECT_NE(serial.delivered_j.mean(), healthy.delivered_j.mean());
+}
+
+// Shards are hermetic: no run emits into a journal the caller installed
+// (sdbsim's --flight-out process journal), so what that journal holds does
+// not depend on whether the shards ran inline or on worker threads.
+TEST(ParallelMonteCarloTest, ShardsNeverEmitIntoTheCallersJournal) {
+  MonteCarloOptions options;
+  options.base_seed = 42;
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    obs::EventJournal journal;
+    obs::JournalScope scope(&journal);
+    (void)RunMonteCarlo(FaultedWatchScenario, 4, options);
+    EXPECT_TRUE(journal.Snapshot().empty()) << "jobs " << jobs;
+  }
+#if SDB_JOURNAL
+  // Not vacuous: the same run journals when the caller plays it directly.
+  obs::EventJournal direct;
+  obs::JournalScope scope(&direct);
+  (void)FaultedWatchScenario(42);
+  EXPECT_FALSE(direct.Snapshot().empty());
+#endif
 }
 
 TEST(ParallelMonteCarloTest, SweepCountersObserveTheRun) {

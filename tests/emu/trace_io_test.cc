@@ -105,25 +105,5 @@ TEST(TraceIoTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(TraceIoTest, ResamplePreservesEnergy) {
-  PowerTrace trace;
-  trace.Append(Seconds(30.0), Watts(1.0));
-  trace.Append(Seconds(30.0), Watts(5.0));
-  trace.Append(Seconds(45.0), Watts(2.0));
-  PowerTrace resampled = ResampleTrace(trace, Minutes(1.0));
-  EXPECT_NEAR(resampled.TotalEnergy().value(), trace.TotalEnergy().value(), 1e-9);
-  EXPECT_EQ(resampled.segments().size(), 2u);
-  // First bucket: mean of 1 W and 5 W.
-  EXPECT_DOUBLE_EQ(resampled.segments()[0].power.value(), 3.0);
-}
-
-TEST(TraceIoTest, ResampleHandlesPartialTailBucket) {
-  PowerTrace trace = PowerTrace::Constant(Watts(2.0), Seconds(90.0));
-  PowerTrace resampled = ResampleTrace(trace, Minutes(1.0));
-  ASSERT_EQ(resampled.segments().size(), 2u);
-  EXPECT_DOUBLE_EQ(resampled.segments()[1].duration.value(), 30.0);
-  EXPECT_DOUBLE_EQ(resampled.TotalDuration().value(), 90.0);
-}
-
 }  // namespace
 }  // namespace sdb

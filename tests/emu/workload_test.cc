@@ -110,14 +110,5 @@ TEST(DroneTest, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.TotalEnergy().value(), b.TotalEnergy().value());
 }
 
-TEST(GlassesTest, MostlyIdleWithBursts) {
-  PowerTrace day = MakeSmartGlassesDayTrace();
-  EXPECT_NEAR(ToHours(day.TotalDuration()), 12.0, 1e-9);
-  double mean_w = day.TotalEnergy().value() / day.TotalDuration().value();
-  EXPECT_GT(mean_w, 0.03);
-  EXPECT_LT(mean_w, 0.30);
-  EXPECT_NEAR(day.PeakPower().value(), 0.9, 1e-9);
-}
-
 }  // namespace
 }  // namespace sdb

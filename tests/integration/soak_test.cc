@@ -74,7 +74,7 @@ TEST(SoakInvariantsTest, TransientFaultRunRecoversToBaseline) {
   const SoakScheduleReport& schedule = report.schedules[0];
   EXPECT_TRUE(report.ok()) << DescribeViolations(report);
   EXPECT_TRUE(schedule.recovered);
-  EXPECT_LE(schedule.max_share_delta, config.convergence_tolerance);
+  EXPECT_LE(schedule.max_share_delta, kSoakConvergenceTolerance);
 }
 
 // Determinism contract: the whole report fingerprint is bit-identical for

@@ -114,36 +114,6 @@ TEST(MetricsRegistryTest, ResetForTestZeroesButKeepsHandles) {
   EXPECT_EQ(registry.Snapshot().counters.at("sdb.test.c"), 1u);
 }
 
-TEST(MetricsRegistryTest, TextExportOneLinePerMetric) {
-  MetricsRegistry registry;
-  registry.GetCounter("sdb.test.c")->Increment(2);
-  registry.GetGauge("sdb.test.g")->Set(1.5);
-  std::string text = registry.ToText();
-  // Prometheus names cannot contain dots; the exporter escapes them.
-  EXPECT_NE(text.find("sdb_test_c 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("sdb_test_g 1.5"), std::string::npos) << text;
-}
-
-// Golden for the full Prometheus exposition shape: escaped names, cumulative
-// `_bucket` counts, "+Inf" bucket equal to `_count`, then `_sum`/`_count`.
-TEST(MetricsRegistryTest, TextExportPrometheusHistogramConformance) {
-  MetricsRegistry registry;
-  registry.GetCounter("sdb.test.c")->Increment(2);
-  registry.GetGauge("sdb.test.g")->Set(1.5);
-  HistogramMetric* h = registry.GetHistogram("sdb.test.h", {1.0, 2.0});
-  h->Observe(0.5);
-  h->Observe(1.5);
-  h->Observe(9.0);
-  EXPECT_EQ(registry.ToText(),
-            "sdb_test_c 2\n"
-            "sdb_test_g 1.5\n"
-            "sdb_test_h_bucket{le=\"1\"} 1\n"
-            "sdb_test_h_bucket{le=\"2\"} 2\n"
-            "sdb_test_h_bucket{le=\"+Inf\"} 3\n"
-            "sdb_test_h_sum 11\n"
-            "sdb_test_h_count 3\n");
-}
-
 TEST(MetricsRegistryTest, JsonExportShape) {
   MetricsRegistry registry;
   registry.GetCounter("sdb.test.c")->Increment(2);

@@ -1377,19 +1377,16 @@ int CmdFuzz(const Args& args) {
   PrintFuzzReport(report);
 
   if (!args.corpus_out.empty()) {
-    std::ostringstream out;
-    out << "# sdb fuzz corpus: one reproducer per line (sdbsim fuzz --replay)\n";
-    size_t written = 0;
+    std::vector<std::string> reproducers;
     for (const FuzzCaseReport& c : report.cases) {
       if (c.failed) {
-        out << c.reproducer << "\n";
-        ++written;
+        reproducers.push_back(c.reproducer);
       }
     }
-    if (!WriteTextFile(args.corpus_out, out.str())) {
+    if (!WriteTextFile(args.corpus_out, FormatFuzzCorpus(reproducers))) {
       return 2;
     }
-    std::printf("corpus: %zu failing reproducer(s) written to %s\n", written,
+    std::printf("corpus: %zu failing reproducer(s) written to %s\n", reproducers.size(),
                 args.corpus_out.c_str());
   }
   // Post-mortem: the first failing case's own journal and reproducer
