@@ -59,8 +59,7 @@ void SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<double>& sha
   DischargeTick& tick = *out;
   tick.requested = load;
   if (load.value() <= 0.0) {
-    tick.SetIdle(n);
-    JournalShortfallEdge(false, load, Watts(0.0));
+    StepIdle(n, &tick);
     return;
   }
 

@@ -85,6 +85,15 @@ class SdbDischargeCircuit {
   void Step(BatteryPack& pack, const std::vector<double>& shares, Power load, Duration dt,
             DischargeTick* tick);
 
+  // A tick with no load: writes an idle `*tick` and ends any shortfall
+  // episode, so the next shortfall is journaled again. Step takes this path
+  // for a non-positive load, and the microcontroller calls it directly on a
+  // tick where the pack carries no load.
+  void StepIdle(size_t batteries, DischargeTick* tick) {
+    tick->SetIdle(batteries);
+    JournalShortfallEdge(false, Watts(0.0), Watts(0.0));
+  }
+
   // The same step into a tick owned by the circuit, valid until the next
   // Step.
   const DischargeTick& Step(BatteryPack& pack, const std::vector<double>& shares, Power load,

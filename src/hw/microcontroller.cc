@@ -259,7 +259,7 @@ const MicroTick& SdbMicrocontroller::Step(Power load, Power external_supply, Dur
     // delivered to the load.
     tick.discharge.delivered += Watts(supply_to_load);
   } else {
-    tick.discharge.SetIdle(n);
+    discharge_circuit_.StepIdle(n, &tick.discharge);
     tick.discharge.delivered = Watts(supply_to_load);
   }
   tick.discharge.requested = load;

@@ -90,6 +90,8 @@ std::string EventToJsonl(const JournalEvent& event);
 bool EventFromJsonl(const std::string& line, JournalEvent* event);
 
 // Bounded journal: keeps the most recent `capacity` events, counts drops.
+// The ring takes its storage on the first event, so a journal that records
+// nothing holds none.
 // Thread-safe, though the intended pattern is single-writer (the thread the
 // JournalScope installed it on) with snapshots taken after the run joins.
 class EventJournal {

@@ -82,6 +82,8 @@ uint32_t CurrentTraceTid();
 // Process-wide collector. Recording takes a mutex (spans close at most a few
 // hundred thousand times per second in our hottest sweeps, and the disabled
 // path never reaches it); the buffer keeps the most recent `capacity` spans.
+// The ring takes its storage on the first recorded span, so a process that
+// never enables tracing holds none of it.
 class Tracer {
  public:
   static Tracer& Global();
@@ -93,7 +95,7 @@ class Tracer {
   // Re-sizes the ring, keeping the newest spans that fit; spans evicted by
   // a shrink are counted into dropped(). recorded() is untouched, so the
   // accounting identity recorded() - dropped() == buffered count survives a
-  // mid-trace resize.
+  // mid-trace resize. With no span buffered it allocates nothing.
   void SetCapacity(size_t capacity);
   void Clear();
 

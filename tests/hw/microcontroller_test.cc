@@ -1,11 +1,13 @@
 #include "src/hw/microcontroller.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
 #include "src/hw/safety.h"
+#include "src/obs/event.h"
 #include "src/util/rng.h"
 #include "tests/hw/tick_compare.h"
 
@@ -179,6 +181,42 @@ TEST(MicroTickReuseTest, ShortfallClearsWhenSupplyCoversLoad) {
   EXPECT_EQ(tick.discharge.delivered, Watts(5.0));
   EXPECT_FALSE(tick.charge.any_charging);
 }
+
+#if SDB_JOURNAL
+size_t ShortfallEvents(const obs::EventJournal& journal) {
+  size_t count = 0;
+  for (const obs::JournalEvent& event : journal.Snapshot()) {
+    count += event.what == "discharge-shortfall" ? 1 : 0;
+  }
+  return count;
+}
+
+// The shortfall journal latch ends on any tick with no pack load, so each
+// shortfall episode is journaled once: after a served tick and after an
+// idle one alike.
+TEST(MicroJournalTest, ShortfallAfterIdleTickIsJournaledAgain) {
+  SdbMicrocontroller micro = MakeMicro();
+  obs::EventJournal journal;
+  obs::JournalScope scope(&journal);
+  const double loads_w[] = {1000.0, 2.0, 1000.0, 0.0, 1000.0};
+  for (double load_w : loads_w) {
+    micro.Step(Watts(load_w), Watts(0.0), Seconds(1.0));
+  }
+  EXPECT_EQ(ShortfallEvents(journal), 3u);
+  EXPECT_TRUE(micro.SaveState().discharge_circuit.shortfall_latched);
+}
+
+TEST(MicroJournalTest, SupplyCoveredTickEndsTheShortfallEpisode) {
+  SdbMicrocontroller micro = MakeMicro();
+  obs::EventJournal journal;
+  obs::JournalScope scope(&journal);
+  micro.Step(Watts(1000.0), Watts(0.0), Seconds(1.0));
+  micro.Step(Watts(5.0), Watts(5.0), Seconds(1.0));
+  EXPECT_FALSE(micro.SaveState().discharge_circuit.shortfall_latched);
+  micro.Step(Watts(1000.0), Watts(0.0), Seconds(1.0));
+  EXPECT_EQ(ShortfallEvents(journal), 2u);
+}
+#endif  // SDB_JOURNAL
 
 TEST(MicroTickReuseTest, ChargingClearsOnIdleTick) {
   SdbMicrocontroller micro = MakeMicro(0.5, 0.5);

@@ -1,8 +1,10 @@
 // Pins the hot paths' allocation contracts (DESIGN.md §12, "Tick hot path"
 // and "Update hot path"): once warmed up, SdbMicrocontroller::Step and a
-// direct-wired SdbRuntime::Update allocate nothing, healthy or degraded. This is its own
-// test binary because it replaces the global operator new for the whole
-// process.
+// direct-wired SdbRuntime::Update allocate nothing, healthy or degraded. It
+// also pins that the span and journal rings take their storage on the first
+// push (DESIGN.md §8), so observability that records nothing holds nothing.
+// This is its own test binary because it replaces the global operator new
+// for the whole process.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -17,12 +19,18 @@
 #include "src/core/runtime.h"
 #include "src/hw/microcontroller.h"
 #include "src/hw/safety.h"
+#include "src/obs/event.h"
+#include "src/obs/trace.h"
+#include "src/util/ring_buffer.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, so that where a test's allocation and release inline into
+// one function the compiler does not pair this malloc with the free below
+// and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
@@ -30,10 +38,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sdb {
 namespace {
@@ -195,6 +203,55 @@ TEST(UpdateAllocationTest, RampingUpdateAllocatesNothing) {
   EXPECT_GT(runtime.reintegration_ramp()[0], 0.0);
   EXPECT_LT(runtime.reintegration_ramp()[0], 1.0);
   EXPECT_GT(runtime.last_discharge_ratios()[0], 0.0);
+}
+
+uint64_t AllocationCount() { return g_allocations.load(std::memory_order_relaxed); }
+
+TEST(RingStorageAllocationTest, ConstructingARingAllocatesNothing) {
+  const uint64_t before = AllocationCount();
+  RingBuffer<obs::TraceEvent> spans(65536);
+  obs::EventJournal journal;
+  EXPECT_EQ(AllocationCount() - before, 0u);
+  EXPECT_EQ(spans.capacity(), 65536u);
+  EXPECT_EQ(journal.recorded(), 0u);
+}
+
+TEST(RingStorageAllocationTest, FirstPushAllocatesTheWholeRingOnce) {
+  RingBuffer<obs::TraceEvent> spans(65536);
+  obs::TraceEvent span;
+  span.name = "span";
+  uint64_t before = AllocationCount();
+  spans.Push(span);
+  EXPECT_EQ(AllocationCount() - before, 1u);
+  before = AllocationCount();
+  for (int i = 0; i < 100; ++i) {
+    spans.Push(span);
+  }
+  spans.Clear();
+  spans.Push(span);
+  EXPECT_EQ(AllocationCount() - before, 0u);
+  EXPECT_EQ(spans.size(), 1u);
+}
+
+TEST(RingStorageAllocationTest, FirstJournalEventAllocatesTheRingOnce) {
+  obs::EventJournal journal;
+  obs::JournalEvent event;
+  event.what = "edge";  // Short enough to live inside the string object.
+  const uint64_t before = AllocationCount();
+  journal.Emit(event);
+  journal.Emit(event);
+  EXPECT_EQ(AllocationCount() - before, 1u);
+  EXPECT_EQ(journal.recorded(), 2u);
+}
+
+TEST(RingStorageAllocationTest, ResizingAnUntracedTracerAllocatesNothing) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  ASSERT_EQ(tracer.recorded(), 0u);  // Nothing in this binary enables tracing.
+  const uint64_t before = AllocationCount();
+  tracer.SetCapacity(1024);
+  tracer.SetCapacity(65536);
+  EXPECT_EQ(AllocationCount() - before, 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 }  // namespace

@@ -64,7 +64,10 @@ TEST(SoakInvariantsTest, TwentyRandomSchedulesHoldInvariants) {
 }
 
 // A transient-fault run ends where a never-faulted run ends: the convergence
-// invariant with a tighter bound on a single known-good schedule.
+// invariant with a tighter bound on a single known-good schedule. report.ok()
+// already holds max_share_delta to kSoakConvergenceTolerance (0.15); this
+// schedule ends within 1.4e-5 of its baseline's shares, so 1e-3 keeps a 70x
+// margin and still catches a run that settles on a different split.
 TEST(SoakInvariantsTest, TransientFaultRunRecoversToBaseline) {
   SoakConfig config;
   config.base_seed = 11;
@@ -74,7 +77,7 @@ TEST(SoakInvariantsTest, TransientFaultRunRecoversToBaseline) {
   const SoakScheduleReport& schedule = report.schedules[0];
   EXPECT_TRUE(report.ok()) << DescribeViolations(report);
   EXPECT_TRUE(schedule.recovered);
-  EXPECT_LE(schedule.max_share_delta, kSoakConvergenceTolerance);
+  EXPECT_LE(schedule.max_share_delta, 1e-3);
 }
 
 // Determinism contract: the whole report fingerprint is bit-identical for

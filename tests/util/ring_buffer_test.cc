@@ -42,6 +42,46 @@ TEST(RingBufferTest, ClearResets) {
   EXPECT_EQ(buf.Back(), 9);
 }
 
+// Storage is taken on the first push and kept by Clear: a fresh ring, a
+// ring that has wrapped and been cleared, and a ring of capacity 1 answer
+// capacity/full/At/Back/Clear the same way.
+TEST(RingBufferTest, SameBehaviourBeforeAndAfterTheFirstPush) {
+  RingBuffer<int> fresh(3);
+  RingBuffer<int> reused(3);
+  for (int i = 0; i < 5; ++i) {
+    reused.Push(100 + i);
+  }
+  reused.Clear();
+  for (RingBuffer<int>* buf : {&fresh, &reused}) {
+    EXPECT_EQ(buf->capacity(), 3u);
+    EXPECT_TRUE(buf->empty());
+    EXPECT_FALSE(buf->full());
+    buf->Push(1);
+    EXPECT_EQ(buf->capacity(), 3u);
+    EXPECT_EQ(buf->At(0), 1);
+    EXPECT_EQ(buf->Back(), 1);
+    EXPECT_FALSE(buf->full());
+    for (int i = 2; i <= 4; ++i) {
+      buf->Push(i);
+    }
+    EXPECT_TRUE(buf->full());
+    EXPECT_EQ(buf->At(0), 2);
+    EXPECT_EQ(buf->At(2), 4);
+    EXPECT_EQ(buf->Back(), 4);
+    buf->Clear();
+    EXPECT_TRUE(buf->empty());
+    EXPECT_FALSE(buf->full());
+    EXPECT_EQ(buf->capacity(), 3u);
+  }
+  RingBuffer<int> one(1);
+  EXPECT_FALSE(one.full());
+  one.Push(5);
+  EXPECT_TRUE(one.full());
+  one.Push(6);
+  EXPECT_EQ(one.At(0), 6);
+  EXPECT_EQ(one.Back(), 6);
+}
+
 TEST(RingBufferTest, MeanOfContents) {
   RingBuffer<double> buf(4);
   buf.Push(1.0);

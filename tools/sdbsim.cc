@@ -222,6 +222,11 @@ std::optional<FaultEvent> ParseFaultSpec(const std::string& spec) {
       (parts.size() > 5 && !ParseNumber(what + "probability", parts[5], &event.probability))) {
     return std::nullopt;
   }
+  if (!std::isfinite(start_h) || !std::isfinite(end_h) || !std::isfinite(event.magnitude)) {
+    std::fprintf(stderr, "sdbsim: fault '%s' wants finite START_H, END_H and MAGNITUDE\n",
+                 spec.c_str());
+    return std::nullopt;
+  }
   event.start = Hours(start_h);
   event.end = Hours(end_h);
   if (parts.size() > 4 && event.kind == FaultClass::kThermalTrip) {
