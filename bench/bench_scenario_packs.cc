@@ -36,13 +36,15 @@ struct PackRun {
 ScenarioSpec ClipScenario(ScenarioSpec spec, Duration cap) {
   PowerTrace clipped;
   Duration acc = Seconds(0.0);
-  for (const auto& segment : spec.load.segments()) {
+  const std::vector<TraceSegment>& segments = spec.load.segments();
+  for (size_t i = 0; i < segments.size(); ++i) {
     Duration remaining = cap - acc;
     if (remaining.value() <= 0.0) {
       break;
     }
-    Duration take = segment.duration.value() <= remaining.value() ? segment.duration : remaining;
-    clipped.Append(take, segment.power);
+    Duration length = spec.load.SegmentEnd(i) - segments[i].start;
+    Duration take = length.value() <= remaining.value() ? length : remaining;
+    clipped.Append(take, segments[i].power);
     acc = acc + take;
   }
   spec.load = clipped;

@@ -414,17 +414,17 @@ FuzzCase SampleFuzzCase(const FuzzConfig& config, uint64_t case_seed) {
   // span, so recovery and replanning get exercised mid-charge too.
   Rng charge_rng(case_seed ^ kChargeFaultSalt);
   if (!spec->supply.empty() && charge_rng.NextDouble() < 0.5) {
-    std::vector<const TraceSegment*> active;
-    for (const TraceSegment& segment : spec->supply.segments()) {
-      if (segment.power.value() > 0.0 && segment.start.value() < horizon.value()) {
-        active.push_back(&segment);
+    const std::vector<TraceSegment>& segments = spec->supply.segments();
+    std::vector<size_t> active;
+    for (size_t i = 0; i < segments.size(); ++i) {
+      if (segments[i].power.value() > 0.0 && segments[i].start.value() < horizon.value()) {
+        active.push_back(i);
       }
     }
     if (!active.empty()) {
-      const TraceSegment& segment = *active[charge_rng.NextBounded(active.size())];
-      const double span_start = segment.start.value();
-      const double span_end =
-          std::min(span_start + segment.duration.value(), horizon.value());
+      const size_t picked = active[charge_rng.NextBounded(active.size())];
+      const double span_start = segments[picked].start.value();
+      const double span_end = std::min(spec->supply.SegmentEnd(picked).value(), horizon.value());
       const FaultClass kinds[] = {
           FaultClass::kRegulatorCollapse, FaultClass::kThermalTrip,
           FaultClass::kGaugeBias, FaultClass::kGaugeStuck};

@@ -250,7 +250,8 @@ WarmRestartOutcome RunWithWarmRestarts(const WarmRestartRun& run, ViolationSink*
               ApplyTornWrite(torn, torn_seed, bytes);
             });
             ++out.torn_writes;
-            what += ":" + std::string(TornWriteKindName(torn));
+            what += ":";
+            what += TornWriteKindName(torn);
           }
           ++crash_index;
           SDB_JOURNAL_EVENT(obs::EventKind::kSimEvent, state.t.value(), -1, "crash-injected", what);

@@ -64,13 +64,11 @@ ScenarioSpec ExpandSmartwatchDay(const PackParams& params, uint64_t seed) {
   day.idle = MilliWatts(P(params, "idle_mw"));
   day.checks_per_hour = static_cast<int>(P(params, "checks_per_hour"));
   day.run_duration = Hours(P(params, "run_hours"));
-  PowerTrace load;
   const int whole_days = static_cast<int>(std::ceil(days));
   for (int d = 0; d < whole_days; ++d) {
     day.seed = MixSeed(seed, 0x5A7C4DA1ULL + static_cast<uint64_t>(d));
-    load = load.Concatenated(MakeSmartwatchDayTrace(day));
+    AppendSmartwatchDay(day, &spec.load);
   }
-  spec.load = std::move(load);
   spec.sim.tick = Seconds(10.0);
   spec.sim.runtime_period = Minutes(5.0);
   FinishSpec(spec);
@@ -128,13 +126,10 @@ ScenarioSpec ExpandPhoneDay(const PackParams& params, uint64_t seed) {
 
   double days = P(params, "days");
   const int whole_days = static_cast<int>(std::ceil(days));
-  PowerTrace load;
   for (int d = 0; d < whole_days; ++d) {
-    load = load.Concatenated(
-        MakePhoneDayTrace(MixSeed(seed, 0x0DA1ULL + static_cast<uint64_t>(d)))
-            .Scaled(P(params, "scale")));
+    AppendPhoneDay(MixSeed(seed, 0x0DA1ULL + static_cast<uint64_t>(d)), P(params, "scale"),
+                   &spec.load);
   }
-  spec.load = std::move(load);
   spec.sim.tick = Seconds(10.0);
   spec.sim.runtime_period = Minutes(5.0);
   FinishSpec(spec);
@@ -511,6 +506,9 @@ StatusOr<ScenarioSpec> ExpandScenario(const std::string& pack_name,
     spec.load = *load_override;
     spec.sim.max_duration = spec.load.TotalDuration() + spec.sim.tick;
   }
+  // Traces live as long as the run: drop the builders' spare capacity.
+  spec.load.ShrinkToFit();
+  spec.supply.ShrinkToFit();
   return spec;
 }
 

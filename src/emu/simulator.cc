@@ -42,7 +42,8 @@ void Simulator::SampleTimeline(obs::Timeline& timeline, Duration now,
   row.reserve(3 * n + 12);
   for (size_t i = 0; i < n; ++i) {
     const Cell& cell = micro->pack().cell(i);
-    std::string prefix = "b" + std::to_string(i);
+    std::string prefix = "b";
+    prefix += std::to_string(i);
     row.emplace_back(prefix + ".soc", cell.soc());
     row.emplace_back(prefix + ".temp_k", cell.thermal().temperature().value());
     double share = i < tick.discharge.realised_shares.size()

@@ -9,8 +9,9 @@ namespace sdb {
 void PowerTrace::Append(Duration duration, Power power) {
   SDB_CHECK(duration.value() > 0.0);
   SDB_CHECK(power.value() >= 0.0);
-  Duration start = TotalDuration();
-  segments_.push_back(TraceSegment{start, duration, power});
+  segments_.push_back(TraceSegment{end_, power});
+  end_ += duration;
+  energy_ += Joules(power.value() * duration.value());
 }
 
 Power PowerTrace::Sample(Duration t) const {
@@ -45,27 +46,10 @@ Power PowerTrace::Sample(Duration t, size_t* hint) const {
     }
     *hint = i;
   }
-  const TraceSegment& seg = segments_[i];
-  if (ts < seg.start.value() + seg.duration.value()) {
-    return seg.power;
+  if (ts < SegmentEnd(i).value()) {
+    return segments_[i].power;
   }
   return Watts(0.0);
-}
-
-Duration PowerTrace::TotalDuration() const {
-  if (segments_.empty()) {
-    return Seconds(0.0);
-  }
-  const TraceSegment& last = segments_.back();
-  return last.start + last.duration;
-}
-
-Energy PowerTrace::TotalEnergy() const {
-  Energy total = Joules(0.0);
-  for (const auto& seg : segments_) {
-    total += Joules(seg.power.value() * seg.duration.value());
-  }
-  return total;
 }
 
 Energy PowerTrace::EnergyBetween(Duration from, Duration to) const {
@@ -75,12 +59,12 @@ Energy PowerTrace::EnergyBetween(Duration from, Duration to) const {
     return Joules(0.0);
   }
   double total = 0.0;
-  for (const auto& seg : segments_) {
-    double s0 = seg.start.value();
-    double s1 = s0 + seg.duration.value();
+  for (size_t i = 0; i < segments_.size(); ++i) {
+    double s0 = segments_[i].start.value();
+    double s1 = SegmentEnd(i).value();
     double overlap = std::min(hi, s1) - std::max(lo, s0);
     if (overlap > 0.0) {
-      total += seg.power.value() * overlap;
+      total += segments_[i].power.value() * overlap;
     }
   }
   return Joules(total);
@@ -98,23 +82,6 @@ PowerTrace PowerTrace::Constant(Power power, Duration duration) {
   PowerTrace trace;
   trace.Append(duration, power);
   return trace;
-}
-
-PowerTrace PowerTrace::Scaled(double factor) const {
-  SDB_CHECK(factor >= 0.0);
-  PowerTrace out;
-  for (const auto& seg : segments_) {
-    out.Append(seg.duration, Watts(seg.power.value() * factor));
-  }
-  return out;
-}
-
-PowerTrace PowerTrace::Concatenated(const PowerTrace& other) const {
-  PowerTrace out = *this;
-  for (const auto& seg : other.segments_) {
-    out.Append(seg.duration, seg.power);
-  }
-  return out;
 }
 
 }  // namespace sdb

@@ -13,10 +13,10 @@
 
 namespace sdb {
 
-// One constant-power segment.
+// One constant-power segment. It ends where the next segment starts, or at
+// the trace's end for the last one (PowerTrace::SegmentEnd).
 struct TraceSegment {
   Duration start;
-  Duration duration;
   Power power;
 };
 
@@ -24,8 +24,13 @@ class PowerTrace {
  public:
   PowerTrace() = default;
 
-  // Appends a segment at the current end of the trace.
+  // Appends a segment at the current end of the trace. The next segment's
+  // start is the rounded sum end + duration, so SegmentEnd is exactly the
+  // double a stored start + duration would give.
   void Append(Duration duration, Power power);
+
+  // Drops spare capacity, for a trace that is complete.
+  void ShrinkToFit() { segments_.shrink_to_fit(); }
 
   // Power at absolute time t (zero before the start and after the end).
   Power Sample(Duration t) const;
@@ -35,10 +40,15 @@ class PowerTrace {
   // so the result never depends on it; a stale hint costs a binary search.
   Power Sample(Duration t, size_t* hint) const;
 
-  Duration TotalDuration() const;
+  // End of segment i: the next segment's start, or the trace's end.
+  Duration SegmentEnd(size_t i) const {
+    return i + 1 < segments_.size() ? segments_[i + 1].start : end_;
+  }
 
-  // Energy of the whole trace.
-  Energy TotalEnergy() const;
+  Duration TotalDuration() const { return end_; }
+
+  // Energy of the whole trace: the in-order sum of power × duration.
+  Energy TotalEnergy() const { return energy_; }
 
   // Energy within [from, to).
   Energy EnergyBetween(Duration from, Duration to) const;
@@ -51,14 +61,10 @@ class PowerTrace {
   // A constant trace.
   static PowerTrace Constant(Power power, Duration duration);
 
-  // Scales every segment's power by `factor`.
-  PowerTrace Scaled(double factor) const;
-
-  // Concatenates `other` after this trace.
-  PowerTrace Concatenated(const PowerTrace& other) const;
-
  private:
   std::vector<TraceSegment> segments_;
+  Duration end_;
+  Energy energy_;
 };
 
 }  // namespace sdb

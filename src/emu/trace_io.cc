@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace sdb {
 
@@ -10,8 +11,10 @@ std::string FormatPowerTraceCsv(const PowerTrace& trace) {
   std::ostringstream os;
   os << "seconds,watts\n";
   char buf[64];
-  for (const TraceSegment& seg : trace.segments()) {
-    std::snprintf(buf, sizeof(buf), "%.6g,%.6g\n", seg.duration.value(), seg.power.value());
+  const std::vector<TraceSegment>& segments = trace.segments();
+  for (size_t i = 0; i < segments.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%.6g,%.6g\n",
+                  (trace.SegmentEnd(i) - segments[i].start).value(), segments[i].power.value());
     os << buf;
   }
   return os.str();
@@ -79,6 +82,7 @@ StatusOr<PowerTrace> ParsePowerTraceCsv(const std::string& text) {
   if (!header_seen) {
     return InvalidArgumentError("trace CSV: empty input");
   }
+  trace.ShrinkToFit();
   return trace;
 }
 

@@ -8,10 +8,15 @@
 namespace sdb {
 
 PowerTrace MakeSmartwatchDayTrace(const SmartwatchDayConfig& config) {
+  PowerTrace trace;
+  AppendSmartwatchDay(config, &trace);
+  return trace;
+}
+
+void AppendSmartwatchDay(const SmartwatchDayConfig& config, PowerTrace* trace) {
   SDB_CHECK(config.checks_per_hour >= 0);
   SDB_CHECK(config.run_start_hour >= 0.0 && config.run_start_hour < 24.0);
   Rng rng(config.seed);
-  PowerTrace trace;
 
   double run_start_s = Hours(config.run_start_hour).value();
   double run_end_s = run_start_s + config.run_duration.value();
@@ -35,9 +40,8 @@ PowerTrace MakeSmartwatchDayTrace(const SmartwatchDayConfig& config) {
     if (t0 >= run_start_s && t0 < run_end_s) {
       p += config.run.value() * (1.0 + rng.Uniform(-config.jitter / 2.0, config.jitter / 2.0));
     }
-    trace.Append(Seconds(kStep), Watts(p));
+    trace->Append(Seconds(kStep), Watts(p));
   }
-  return trace;
 }
 
 namespace {
@@ -98,8 +102,13 @@ PowerTrace MakeBurstyTrace(Power baseline, Power burst, double burst_fraction, D
 }
 
 PowerTrace MakePhoneDayTrace(uint64_t seed) {
-  Rng rng(seed);
   PowerTrace trace;
+  AppendPhoneDay(seed, 1.0, &trace);
+  return trace;
+}
+
+void AppendPhoneDay(uint64_t seed, double scale, PowerTrace* trace) {
+  Rng rng(seed);
   // 16 waking hours: standby with screen sessions and one long call.
   for (int hour = 0; hour < 16; ++hour) {
     for (int slot = 0; slot < 12; ++slot) {  // 5-minute slots.
@@ -112,10 +121,9 @@ PowerTrace MakePhoneDayTrace(uint64_t seed) {
       } else if (roll < 0.35) {
         p = 0.5;  // Background sync.
       }
-      trace.Append(Minutes(5.0), Watts(p));
+      trace->Append(Minutes(5.0), Watts(p * scale));
     }
   }
-  return trace;
 }
 
 PowerTrace MakeDroneFlightTrace(Duration flight, uint64_t seed) {

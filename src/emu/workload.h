@@ -31,6 +31,9 @@ struct SmartwatchDayConfig {
 // high-power run.
 PowerTrace MakeSmartwatchDayTrace(const SmartwatchDayConfig& config);
 
+// Appends that day at the end of `trace`, for multi-day builders.
+void AppendSmartwatchDay(const SmartwatchDayConfig& config, PowerTrace* trace);
+
 // --- 2-in-1 application workloads (paper §5.3, Fig. 14) ---------------------
 
 struct NamedWorkload {
@@ -51,6 +54,9 @@ PowerTrace MakeBurstyTrace(Power baseline, Power burst, double burst_fraction,
 
 // Phone-style day: screen sessions, standby, a video call.
 PowerTrace MakePhoneDayTrace(uint64_t seed = 23);
+
+// Appends that day at the end of `trace`, every power multiplied by `scale`.
+void AppendPhoneDay(uint64_t seed, double scale, PowerTrace* trace);
 
 // --- §8 future-work devices ---------------------------------------------------
 

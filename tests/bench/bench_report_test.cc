@@ -51,7 +51,7 @@ TEST(BenchReportTest, ToJsonSchema) {
 
 TEST(BenchReportTest, BuildInfoSerializesFlagsAndThreadCap) {
   BenchReport report;
-  report.bench = "x";
+  report.bench = std::string("x");
   report.build.sdb_threads = 6;
   report.build.tracing = true;
   report.build.journal = false;
@@ -75,7 +75,7 @@ TEST(BenchReportTest, ToJsonEscapesStrings) {
 TEST(BenchReportTest, NonFiniteMetricSerializesAsZero) {
   // NaN/inf are not valid JSON numbers; the writer must not emit them.
   BenchReport report;
-  report.bench = "x";
+  report.bench = std::string("x");
   report.AddMetric("bad", std::nan(""));
   std::string json = ToJson(report);
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;

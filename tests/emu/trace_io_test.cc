@@ -15,7 +15,7 @@ TEST(TraceIoTest, RoundTrip) {
   auto parsed = ParsePowerTraceCsv(csv);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->segments().size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->segments()[0].duration.value(), 10.0);
+  EXPECT_DOUBLE_EQ(parsed->SegmentEnd(0).value(), 10.0);
   EXPECT_DOUBLE_EQ(parsed->segments()[0].power.value(), 2.5);
   EXPECT_DOUBLE_EQ(parsed->segments()[1].power.value(), 0.125);
 }
@@ -69,7 +69,7 @@ TEST(TraceIoTest, MissingTrailingNewlineAccepted) {
   auto parsed = ParsePowerTraceCsv("seconds,watts\n5,1.0\n10,2.0");
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->segments().size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->segments()[1].duration.value(), 10.0);
+  EXPECT_DOUBLE_EQ((parsed->SegmentEnd(1) - parsed->segments()[1].start).value(), 10.0);
 }
 
 TEST(TraceIoTest, HeaderOnlyParsesToEmptyTrace) {

@@ -66,7 +66,7 @@ TEST(EventJournalTest, RingKeepsNewestAndCountsDrops) {
   EventJournal journal(/*capacity=*/4);
   for (int i = 0; i < 6; ++i) {
     journal.Emit(MakeEvent(EventKind::kSimEvent, static_cast<double>(i), -1,
-                           "e" + std::to_string(i)));
+                           std::string("e").append(std::to_string(i))));
   }
   EXPECT_EQ(journal.recorded(), 6u);
   EXPECT_EQ(journal.dropped(), 2u);

@@ -100,7 +100,7 @@ TEST(PostmortemBundleTest, KeepsOnlyTheNewestLastNEvents) {
   std::filesystem::path dir = UniqueDir("bundle_lastn");
   std::vector<JournalEvent> events;
   for (uint64_t i = 0; i < 10; ++i) {
-    events.push_back(MakeEvent(i, "e" + std::to_string(i)));
+    events.push_back(MakeEvent(i, std::string("e").append(std::to_string(i))));
   }
   ASSERT_EQ(WritePostmortemBundle(dir.string(), PostmortemManifest{}, events, "{}",
                                   /*last_n=*/3),
@@ -153,7 +153,7 @@ std::filesystem::path MakeBundle(const std::string& name, size_t events = 2) {
   manifest.config_digest = DigestConfig("soak --seed 7");
   std::vector<JournalEvent> all;
   for (uint64_t i = 0; i < events; ++i) {
-    all.push_back(MakeEvent(i, "e" + std::to_string(i)));
+    all.push_back(MakeEvent(i, std::string("e").append(std::to_string(i))));
   }
   EXPECT_EQ(WritePostmortemBundle(dir.string(), manifest, all, "{}"), "");
   return dir;

@@ -88,7 +88,7 @@ TEST(CpuModelTest, BurstBudgetThrottlesLongTasks) {
   EXPECT_GT(budgeted.latency.value(), unlimited.latency.value());
   // The budgeted profile has a burst segment followed by a sustained one.
   ASSERT_GE(budgeted.power_profile.segments().size(), 2u);
-  EXPECT_DOUBLE_EQ(budgeted.power_profile.segments()[0].duration.value(),
+  EXPECT_DOUBLE_EQ(budgeted.power_profile.SegmentEnd(0).value(),
                    cpu.config().burst_budget.value());
   EXPECT_GT(budgeted.power_profile.segments()[0].power.value(),
             budgeted.power_profile.segments()[1].power.value());

@@ -46,7 +46,7 @@ TEST(StatusOrTest, HoldsValue) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), 42);
   EXPECT_EQ(*v, 42);
-  EXPECT_TRUE(v.status().ok());
+  EXPECT_EQ(v.status(), Status::Ok());
 }
 
 TEST(StatusOrTest, HoldsError) {
